@@ -1,8 +1,10 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables/figures on a
-scaled-down workload set (see EXPERIMENTS.md for the scaling notes) and
-prints the same rows/series the paper reports.  Benchmarks are run with
+scaled-down workload set (``BENCH_INSTRUCTIONS`` instructions per core
+and ``BENCH_NUM_APPS`` non-RNG applications, set below; one
+``benchmarks/test_*.py`` module per figure) and prints the same
+rows/series the paper reports.  Benchmarks are run with
 ``pytest benchmarks/ --benchmark-only``; each experiment is executed once
 per benchmark (``benchmark.pedantic`` with a single round), because a
 single figure already aggregates many simulations internally.

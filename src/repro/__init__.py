@@ -18,7 +18,8 @@ Quickstart::
     ours = run_workload(mix, drstrange_config(), instructions=10_000)
     print(base.non_rng_slowdown, "->", ours.non_rng_slowdown)
 
-See the ``examples/`` directory and EXPERIMENTS.md for full experiments.
+See the ``examples/`` directory and the "Experiment orchestration"
+section of README.md for full experiments.
 """
 
 from . import controller, core, cpu, dram, energy, experiments, metrics, sched, sim, trng, workloads

@@ -30,6 +30,7 @@ from ..orchestration.request import SweepRequest
 from .protocol import (
     encode_message,
     hello_message,
+    open_connection,
     parse_address,
     peer_features,
     read_message,
@@ -130,7 +131,7 @@ class WatchClient:
         self.status: Optional[Dict] = None
         self.seq = 0
         self.supports_watch = False
-        self._connection = socket.create_connection(address, timeout=timeout)
+        self._connection = open_connection(address, timeout=timeout)
         self._stream = self._connection.makefile("rb")
         try:
             self._connection.sendall(
@@ -205,7 +206,7 @@ class SweepClient:
     ) -> None:
         address = parse_address(target) if isinstance(target, str) else tuple(target)
         self.tenant = tenant or f"client-{socket.gethostname()}-{os.getpid()}"
-        self._connection = socket.create_connection(address, timeout=timeout)
+        self._connection = open_connection(address, timeout=timeout)
         self._stream = self._connection.makefile("rb")
         try:
             self._connection.sendall(

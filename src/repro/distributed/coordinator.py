@@ -51,6 +51,7 @@ from .protocol import (
     FEATURES,
     PROTOCOL_VERSION,
     encode_message,
+    prepare_connection,
     read_message,
     result_from_wire,
     unit_to_wire,
@@ -362,7 +363,7 @@ class Coordinator:
     def _accept_loop(self) -> None:
         while not self._shutdown.is_set():
             try:
-                connection, _ = self._listener.accept()
+                connection = prepare_connection(self._listener.accept()[0])
             except socket.timeout:
                 continue
             except OSError:

@@ -1,7 +1,9 @@
 """Wire protocol of the coordinator/worker subsystem.
 
 Messages are newline-delimited JSON objects (UTF-8) over a plain TCP
-stream — trivially debuggable with ``nc`` and dependency-free.  Every
+stream — trivially debuggable with ``nc`` and dependency-free.  Both
+ends open or accept it through :func:`open_connection` /
+:func:`prepare_connection`, which turn Nagle's algorithm off.  Every
 message carries a ``type``:
 
 worker → coordinator
@@ -73,7 +75,8 @@ result streamed over the wire is bit-identical to one computed locally.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+import socket
+from typing import Dict, Optional, Tuple
 
 from ..controller.config import ControllerConfig
 from ..core.config import DRStrangeConfig
@@ -109,6 +112,30 @@ SERVICE_FEATURES = FEATURES + ("jobs",)
 #: :func:`read_message` enforces the cap *while reading*, so an
 #: oversized line never gets buffered whole.
 MAX_MESSAGE_BYTES = 256 * 1024 * 1024
+
+
+def prepare_connection(connection: socket.socket) -> socket.socket:
+    """Ready a connected protocol socket, on either end, for use.
+
+    Disables Nagle's algorithm.  A worker follows each ``ack`` with an
+    unanswered ``metrics`` frame and then its next ``lease``; under
+    Nagle the ``lease`` waits until ``metrics`` is ACKed, and the peer,
+    with nothing to send back, delays that ACK (~40 ms on Linux).
+    """
+    try:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass  # the peer already hung up (some BSDs refuse then); the first read says so
+    return connection
+
+
+def open_connection(address: Tuple[str, int], timeout: Optional[float] = None) -> socket.socket:
+    """Connect to a coordinator or service at ``(host, port)``.
+
+    ``timeout`` bounds the connect and every later blocking call, as for
+    :func:`socket.create_connection`; ``None`` blocks.
+    """
+    return prepare_connection(socket.create_connection(address, timeout=timeout))
 
 
 def encode_message(payload: Dict) -> bytes:

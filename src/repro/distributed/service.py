@@ -70,6 +70,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     SERVICE_FEATURES,
     encode_message,
+    prepare_connection,
     read_message,
     result_from_wire,
     unit_to_wire,
@@ -360,11 +361,8 @@ class SweepService:
         )
         listener.settimeout(0.2)
         self._listener = listener
-        accept = threading.Thread(target=self._accept_loop, daemon=True, name="service-accept")
-        reaper = threading.Thread(target=self._reaper_loop, daemon=True, name="service-reaper")
-        self._threads += [accept, reaper]
-        accept.start()
-        reaper.start()
+        self._spawn(self._accept_loop, name="service-accept")
+        self._spawn(self._reaper_loop, name="service-reaper")
         self._log.info("sweep service listening on %s:%s", *self.address)
         return self.address
 
@@ -395,12 +393,14 @@ class SweepService:
                 pass
         with self._lock:
             open_connections = list(self._connections.values())
+            # Complete: _spawn starts nothing once shutdown is set.
+            threads = list(self._threads)
         for connection in open_connections:
             try:
                 connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in list(self._threads):
+        for thread in threads:
             thread.join(timeout=2.0)
         if self._journal is not None:
             self.events.remove_sink(self._journal.write)
@@ -408,10 +408,30 @@ class SweepService:
 
     # ------------------------------------------------------------- serving
 
+    def _spawn(self, target, *args, name: str) -> bool:
+        """Start a daemon thread that :meth:`stop` joins; ``False``
+        (nothing started) once shutdown has begun.
+
+        The accept loop, connection threads (planners) and commits
+        (finalizers) all spawn concurrently, so finished threads are
+        pruned and the new one is recorded under the lock, or an append
+        racing the prune would be lost and never joined.  The thread
+        starts under the lock too: the prune would drop it as not alive
+        otherwise.
+        """
+        with self._lock:
+            if self._shutdown.is_set():
+                return False
+            self._threads = [thread for thread in self._threads if thread.is_alive()]
+            thread = threading.Thread(target=target, args=args, daemon=True, name=name)
+            self._threads.append(thread)
+            thread.start()
+        return True
+
     def _accept_loop(self) -> None:
         while not self._shutdown.is_set():
             try:
-                connection, _ = self._listener.accept()
+                connection = prepare_connection(self._listener.accept()[0])
             except socket.timeout:
                 continue
             except OSError:
@@ -420,15 +440,14 @@ class SweepService:
                 self._connection_seq += 1
                 connection_id = self._connection_seq
                 self._connections[connection_id] = connection
-            self._threads = [thread for thread in self._threads if thread.is_alive()]
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection, connection_id),
-                daemon=True,
+            if not self._spawn(
+                self._serve_connection, connection, connection_id,
                 name=f"service-conn-{connection_id}",
-            )
-            self._threads.append(thread)
-            thread.start()
+            ):
+                with self._lock:
+                    self._connections.pop(connection_id, None)
+                connection.close()
+                return
 
     def _serve_connection(self, connection: socket.socket, connection_id: int) -> None:
         stream = connection.makefile("rb")
@@ -648,12 +667,7 @@ class SweepService:
             "job %s submitted by %s: %s (priority %s)",
             job.job_id, tenant, ",".join(request.experiments), request.priority,
         )
-        planner = threading.Thread(
-            target=self._plan_job, args=(job,), daemon=True,
-            name=f"service-plan-{job.job_id}",
-        )
-        self._threads.append(planner)
-        planner.start()
+        self._spawn(self._plan_job, job, name=f"service-plan-{job.job_id}")
         return job.payload()
 
     def _plan_job(self, job: _Job) -> None:
@@ -724,7 +738,7 @@ class SweepService:
         )
         self._emit_job(job)
         if finalize:
-            self._spawn_finalize(job)
+            self._spawn(self._finalize_job, job, name=f"service-final-{job.job_id}")
 
     # ------------------------------------------------------------- leasing
 
@@ -886,7 +900,7 @@ class SweepService:
         )
         for job in finalize:
             self._emit_job(job)
-            self._spawn_finalize(job)
+            self._spawn(self._finalize_job, job, name=f"service-final-{job.job_id}")
         return {"type": "ack"}
 
     def _requeue(self, key: str, connection_id: int, reason: str) -> None:
@@ -1076,14 +1090,6 @@ class SweepService:
             }
 
     # ------------------------------------------------------------- finalize
-
-    def _spawn_finalize(self, job: _Job) -> None:
-        thread = threading.Thread(
-            target=self._finalize_job, args=(job,), daemon=True,
-            name=f"service-final-{job.job_id}",
-        )
-        self._threads.append(thread)
-        thread.start()
 
     def _finalize_job(self, job: _Job) -> None:
         """Replay one finished job's figures from the store (own thread).

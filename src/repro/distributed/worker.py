@@ -35,6 +35,7 @@ from .protocol import (
     encode_message,
     hello_message,
     metrics_message,
+    open_connection,
     parse_address,
     peer_features,
     read_message,
@@ -167,7 +168,7 @@ def run_worker(
     # their snapshots a superset).
     registry = telemetry.MetricsRegistry()
 
-    connection = socket.create_connection((host, port))
+    connection = open_connection((host, port))
     send_lock = threading.Lock()
     stream = connection.makefile("rb")
 

@@ -126,13 +126,17 @@ class SimulationConfig:
 
         Per-application slowdowns are always measured against the
         application running alone on the RNG-oblivious baseline system
-        with the same TRNG mechanism (Section 7).
+        with the same TRNG mechanism (Section 7).  That design builds no
+        buffer, predictor or RNG-aware queue, so it reads no
+        :class:`DRStrangeConfig` field; resetting it gives configs that
+        differ only there one alone run, and one result-store key.
         """
         return replace(
             self,
             design=DESIGN_RNG_OBLIVIOUS,
             scheduler="fr-fcfs+cap",
             priority_mode=PRIORITY_EQUAL,
+            drstrange=DRStrangeConfig(),
         )
 
     def cache_key(self) -> tuple:

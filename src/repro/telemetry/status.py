@@ -14,13 +14,13 @@ never interferes with lease accounting or worker heartbeats.
 from __future__ import annotations
 
 import math
-import socket
 import time
 from typing import Dict, List, Optional, Tuple
 
 from ..distributed.protocol import (
     PROTOCOL_VERSION,
     encode_message,
+    open_connection,
     read_message,
 )
 
@@ -51,7 +51,7 @@ def fetch_status(address: Tuple[str, int], timeout: float = 5.0) -> Dict:
     payload (e.g. a pre-telemetry coordinator that does not speak the
     message kind).
     """
-    with socket.create_connection(address, timeout=timeout) as sock:
+    with open_connection(address, timeout=timeout) as sock:
         sock.sendall(encode_message({"type": "status", "protocol": PROTOCOL_VERSION}))
         reader = sock.makefile("rb")
         try:

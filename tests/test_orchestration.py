@@ -217,6 +217,18 @@ class TestPlanning:
         assert len(sim_runner.GLOBAL_ALONE_CACHE) == before
         assert sim_runner.set_simulation_backend(None) is None
 
+    @pytest.mark.parametrize("figure", ["fig6", "fig10", "fig11", "fig13"])
+    def test_plan_is_exactly_the_points_the_replay_reads(self, figure):
+        # fig10/fig11/fig13 vary DR-STRaNGe knobs that the alone runs
+        # ignore: a plan with extra alone points would make a
+        # distributed sweep simulate work the replay never reads.
+        from repro.orchestration import SweepRequest, sweep_experiments
+
+        request = SweepRequest(experiments=(figure,), instructions=2_000)
+        planned = {unit.key for unit in plan_experiment(figure, **request.run_kwargs())}
+        serial = sweep_experiments(request, store=InMemoryResultStore())
+        assert planned == set(serial.stats.points)
+
     def test_filter_run_kwargs(self):
         kwargs = {"instructions": 10, "full": True, "bogus": 1}
         filtered = filter_run_kwargs(fig6, kwargs)

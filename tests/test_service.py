@@ -24,6 +24,7 @@ from repro.distributed import (
     SweepClient,
     SweepService,
     TenantScheduler,
+    WatchClient,
     run_worker,
 )
 from repro.distributed.protocol import (
@@ -482,3 +483,107 @@ class TestTwoClientEquivalence:
             svc.stop()
             for thread in workers:
                 thread.join(timeout=5)
+
+
+# ----------------------------------------------------------------- sockets & shutdown
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def nodelay(connection) -> int:
+    return connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestNoDelay:
+    """Every protocol socket disables Nagle on both ends.  A worker
+    follows each ``ack`` with an unanswered ``metrics`` frame and then
+    its next ``lease``; under Nagle that ``lease`` waits for the peer's
+    delayed ACK of ``metrics``."""
+
+    def test_worker_and_client_sockets_and_service_accepted_ones(self, monkeypatch):
+        opened = []
+        real_create_connection = socket.create_connection
+
+        def recording_create_connection(*args, **kwargs):
+            connection = real_create_connection(*args, **kwargs)
+            opened.append(connection)
+            return connection
+
+        monkeypatch.setattr(socket, "create_connection", recording_create_connection)
+        svc = SweepService(InMemoryResultStore(), **FAST)
+        address = svc.start()
+        worker = None
+        try:
+            worker = start_worker_thread(address, "nodelay-worker")
+            with SweepClient(address) as client, WatchClient(address) as watcher:
+                assert watcher.supports_watch
+                wait_until(lambda: "nodelay-worker" in svc.status_payload()["workers"])
+                with svc._lock:
+                    accepted = list(svc._connections.values())
+                assert len(opened) == 3 and len(accepted) == 3
+                assert client._connection in opened and watcher._connection in opened
+                assert all(nodelay(connection) for connection in opened + accepted)
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+
+    def test_coordinator_accepted_connections(self):
+        coordinator = Coordinator([make_unit()], InMemoryResultStore())
+        address = coordinator.start()
+        try:
+            with WatchClient(address) as watcher:
+                assert watcher.supports_watch
+                with coordinator._lock:
+                    accepted = list(coordinator._connections.values())
+                assert len(accepted) == 1
+                assert nodelay(accepted[0]) and nodelay(watcher._connection)
+        finally:
+            coordinator.stop()
+
+
+class TestServiceShutdown:
+    def test_stop_leaves_no_planner_or_finalizer_alive(self, monkeypatch):
+        """Planners start from connection threads and finalizers from
+        planners and commits, while the accept loop prunes the thread
+        list.  ``stop()`` must join every one of them and start none
+        after it has begun."""
+        store = InMemoryResultStore()
+        sweep_experiments(FIG5, store=store)  # warm: FIG5 jobs go straight to replay
+        real_plan, real_finalize = SweepService._plan_job, SweepService._finalize_job
+
+        def slow_plan(self, job):
+            time.sleep(0.05)
+            real_plan(self, job)
+
+        def slow_finalize(self, job):
+            time.sleep(0.3)
+            real_finalize(self, job)
+
+        monkeypatch.setattr(SweepService, "_plan_job", slow_plan)
+        monkeypatch.setattr(SweepService, "_finalize_job", slow_finalize)
+        before = set(threading.enumerate())
+        svc = SweepService(store, **FAST)
+        address = svc.start()
+        try:
+            for index in range(3):  # finalizers in flight at stop()
+                with SweepClient(address, tenant=f"replayed-{index}") as client:
+                    job_id = client.submit(FIG5)
+                    wait_until(lambda: client.poll(job_id).state in ("finalizing", "done"))
+            for index in range(3):  # planners in flight at stop()
+                with SweepClient(address, tenant=f"planning-{index}") as client:
+                    client.submit(FIG5)
+        finally:
+            svc.stop()
+        leftover = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in before
+            and thread.name.startswith(("service-plan-", "service-final-"))
+        ]
+        assert leftover == []

@@ -70,6 +70,12 @@ class TestDerived:
         assert alone.design == DESIGN_RNG_OBLIVIOUS
         assert alone.scheduler == "fr-fcfs+cap"
         assert alone.trng_name == "d-range"
+        # The baseline reads no DR-STRaNGe knob, so configs that differ
+        # only there share one alone run (and one result-store key).
+        tuned = drstrange_config(
+            drstrange=DRStrangeConfig(buffer_entries=4, predictor="rl", stall_limit=50)
+        )
+        assert tuned.alone_run_config() == alone
 
     def test_cache_key_distinguishes_trng(self):
         a = drstrange_config().cache_key()
