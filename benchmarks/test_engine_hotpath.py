@@ -28,13 +28,7 @@ from repro import telemetry
 from repro.dram.address import AddressMapping
 from repro.dram.timing import DRAMOrganization
 from repro.experiments import fig05_idle_periods, fig15_low_utilization, fig18_multicore_idle
-from repro.sim.config import (
-    ENGINE_COMPILED,
-    ENGINE_EVENT,
-    ENGINE_TICK,
-    baseline_config,
-    drstrange_config,
-)
+from repro.sim.config import ENGINE_EVENT, ENGINE_TICK, baseline_config, drstrange_config
 from repro.sim.runner import GLOBAL_ALONE_CACHE, engine_override
 from repro.sim.system import System
 from repro.workloads.mixes import ROW_OFFSET_STRIDE, build_traces, four_core_group_mixes
@@ -228,26 +222,6 @@ def test_fig18_dense(benchmark):
     """
     traces = _dense_traces()
     result = benchmark.pedantic(_run_dense, args=(traces, ENGINE_EVENT), rounds=3, iterations=1)
-    assert result.total_cycles > 0
-
-
-def test_fig18_dense_compiled(benchmark):
-    """Same dense fig18 hot path through the config-specialised engine.
-
-    The warmup round absorbs the one-time render/compile of the
-    generated module (cached in-process afterwards), so the timed
-    rounds measure steady-state dispatch only — the same thing the
-    event-engine gate above measures.  Measured against ``event`` on a
-    quiet machine the specialised module wins ~1.06x min / ~1.07x
-    median: the folded constants save attribute traffic, but CPython's
-    interpreter loop dominates this skip-poor regime.  The >25% mean
-    gate holds that modest win; it is not asserted as a ratio here
-    because run-to-run noise exceeds the margin.
-    """
-    traces = _dense_traces()
-    result = benchmark.pedantic(
-        _run_dense, args=(traces, ENGINE_COMPILED), rounds=3, iterations=1, warmup_rounds=1
-    )
     assert result.total_cycles > 0
 
 

@@ -17,8 +17,6 @@ Usage::
     python -m repro fig6 --checkpoint-interval 20000   # resumable simulation
     python -m repro checkpoint list                # stored snapshots
     python -m repro cache                          # result-store statistics
-    python -m repro fig18 --engine compiled        # config-specialised engine
-    python -m repro codegen dump dr-strange        # emitted compiled-engine source
     python -m repro status --target HOST:PORT      # live coordinator/service view
     python -m repro watch --target HOST:PORT       # stream structured events
     python -m repro runs                           # list persisted run manifests
@@ -354,20 +352,11 @@ def _cache_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .sim import codegen
-
-    codegen.set_cache_dir(args.cache_dir)
     store = ResultCache(args.cache_dir)
     if args.clear:
         removed = len(store)
         store.clear()
-        generated = codegen.stats()["entries"]
-        codegen.clear()
         print(f"cleared {removed} entr{'y' if removed == 1 else 'ies'} from {store.cache_dir}")
-        print(
-            f"cleared {generated} generated source{'' if generated == 1 else 's'} "
-            f"from {codegen.cache_dir()}"
-        )
         return 0
 
     stats = store.stats()
@@ -387,136 +376,6 @@ def _cache_main(argv: list[str]) -> int:
         if "executed" in last:
             line += f"; {last.get('planned', 0)} points planned, {last['executed']} executed"
         print(line)
-    generated = codegen.stats()
-    print(f"generated code at {codegen.cache_dir()}")
-    print(f"  entries:     {generated['entries']}")
-    print(f"  total bytes: {generated['total_bytes']}")
-    return 0
-
-
-# ----------------------------------------------------------------- codegen
-
-
-def _codegen_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro codegen",
-        description=(
-            "Inspect the `--engine compiled` code generator: render the "
-            "specialised module source for one configuration, or list the "
-            "generated sources cached next to the results."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    dump_parser = sub.add_parser(
-        "dump",
-        help="render the specialised module for a configuration and print it",
-        description=(
-            "Render the module the compiled engine would execute for one "
-            "configuration — channel/core loops unrolled, scheduler scans "
-            "inlined, design-constant branches folded — and print it "
-            "(deterministic: the same configuration always renders the "
-            "same bytes).  The content digest goes to stderr."
-        ),
-    )
-    from .sim.config import DESIGNS
-
-    dump_parser.add_argument(
-        "design",
-        choices=DESIGNS,
-        help="system design point the module is specialised for",
-    )
-    dump_parser.add_argument(
-        "--scheduler",
-        choices=("fr-fcfs", "fr-fcfs+cap", "bliss"),
-        default=None,
-        help="request scheduler (default: the config default, fr-fcfs+cap)",
-    )
-    dump_parser.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="column cap for fr-fcfs+cap (default: the config default, 16)",
-    )
-    dump_parser.add_argument(
-        "--cores",
-        type=int,
-        default=8,
-        metavar="N",
-        help="number of cores the module is specialised for (default: 8)",
-    )
-    dump_parser.add_argument(
-        "--profiled",
-        action="store_true",
-        help="render with engine-profile hooks live (as under --profile-engine)",
-    )
-    dump_parser.add_argument(
-        "--out",
-        default="-",
-        metavar="FILE",
-        help="write the source to FILE instead of stdout ('-' for stdout)",
-    )
-
-    list_parser = sub.add_parser(
-        "list",
-        help="list the generated sources cached under <cache-dir>/codegen",
-    )
-    list_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR!r})",
-    )
-
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-
-    from .sim import codegen
-
-    if args.command == "dump":
-        from .sim.config import SimulationConfig
-
-        overrides = {}
-        if args.scheduler is not None:
-            overrides["scheduler"] = args.scheduler
-        if args.cap is not None:
-            overrides["scheduler_cap"] = args.cap
-        if args.cores < 1:
-            print("--cores must be at least 1", file=sys.stderr)
-            return 2
-        config = SimulationConfig(design=args.design, **overrides)
-        digest, source = codegen.render_source(
-            config, num_cores=args.cores, profiled=args.profiled
-        )
-        if args.out == "-":
-            sys.stdout.write(source)
-        else:
-            try:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(source)
-            except OSError as exc:
-                print(f"could not write {args.out}: {exc}", file=sys.stderr)
-                return 1
-        print(f"digest {digest}", file=sys.stderr)
-        return 0
-
-    codegen.set_cache_dir(args.cache_dir)
-    root = codegen.cache_dir()
-    stats = codegen.stats()
-    if not stats["entries"]:
-        print(f"no generated sources under {root}")
-        return 0
-    print(f"generated sources under {root}")
-    for entry in sorted(root.glob("*.py")):
-        try:
-            size = entry.stat().st_size
-        except OSError:
-            continue
-        print(f"  {entry.stem}  {size} bytes")
-    print(f"  ({stats['entries']} entries, {stats['total_bytes']} bytes)")
     return 0
 
 
@@ -1124,13 +983,6 @@ def _serve_main(argv: list[str]) -> int:
         return 2
 
     store = InMemoryResultStore() if args.no_cache else open_store(args.cache_dir)
-    if not args.no_cache:
-        # Tenants selecting `--engine compiled` share the daemon's
-        # generated-source cache (content-addressed per folded config,
-        # so different tenants can never collide on a module).
-        from .sim import codegen
-
-        codegen.set_cache_dir(args.cache_dir)
     try:
         service = SweepService(
             store,
@@ -1414,7 +1266,6 @@ def main(argv: list[str] | None = None) -> int:
     verbs = {
         "worker": _worker_main,
         "cache": _cache_main,
-        "codegen": _codegen_main,
         "checkpoint": _checkpoint_main,
         "status": _status_main,
         "watch": _watch_main,
@@ -1507,13 +1358,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     store = None if args.no_cache else open_store(args.cache_dir)
-    if not args.no_cache:
-        # Generated-source cache for `--engine compiled` lives next to
-        # the results; pointing it here is free when compiled is never
-        # selected (nothing renders until the engine actually runs).
-        from .sim import codegen
-
-        codegen.set_cache_dir(args.cache_dir)
     stats = SweepStats()
     started_at = time.time()
     with contextlib.ExitStack() as stack:

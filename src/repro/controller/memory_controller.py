@@ -115,449 +115,6 @@ class BaselineQueuePolicy:
         """No internal state."""
 
 
-def channel_serve_batch(self, now: int, limit: int) -> None:
-    """Resolve every serve decision in cycles ``[now, limit)`` in one call.
-
-    The engine calls this instead of per-cycle dispatch when the
-    decision inputs are provably stable across the window (see
-    :func:`repro.sim.engine.serve_window_end`):
-
-    * no request arrives at this controller during the window (every
-      core is window-stalled and the RNG subsystem is quiet),
-    * the controller is in Regular Execution Mode with pending regular
-      work throughout the window (no idle transition, so the idle
-      streak and fill policy stay untouched),
-    * no RNG-type request is queued (serving one would switch modes),
-    * the within-queue scheduler has no event in the window (e.g. a
-      BLISS clearing boundary),
-    * no completion inside the window re-activates a core (waking
-      completions bound the window), and
-    * the fill policy reports no low-utilisation hazard at ``now``.
-
-    Under those preconditions every tick in the window is either a
-    quiet busy tick (constant counter deltas, applied in bulk) or a
-    serve tick whose decision depends only on controller-local state —
-    so the reference tick sequence is replayed exactly, just without
-    returning to the engine between cycles.  Completions due inside
-    the window fire at their recorded cycles' effects (the latency a
-    callback records uses the request's own ``completion_cycle``) and
-    only flip mid-window slots, which no stalled core observes before
-    the window ends.
-
-    A module-level codegen unit: :class:`ChannelController` executes it
-    directly (``serve_batch = channel_serve_batch``) and
-    :mod:`repro.sim.codegen` specialises the same source — the
-    ``_fast_policy`` test folded to the design's constant and the
-    scheduler's hoisted ``select_index`` / ``notify_served`` locals
-    inlined as the concrete scheduler's scan.
-    """
-    inflight = self._inflight
-    read_queue = self.read_queue
-    read_entries = read_queue._entries
-    write_entries = self.write_queue._entries
-    channel = self.channel
-    lookahead = self._issue_lookahead
-    backend_latency = self._backend_latency
-    inflight_counter = self._inflight_counter
-    stats = self.stats
-    scheduler = self.scheduler
-    # Per-serve call targets resolved once per window: the scheduler's
-    # scan and bookkeeping hooks, the channel's access model and the
-    # heap primitives are all loop-invariant.
-    select_index = scheduler.select_index
-    notify_served = scheduler.notify_served
-    service_access = channel.service_access
-    remove_at = read_queue.remove_at
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    # The RNG-oblivious baseline policy reduces to the within-queue
-    # scheduler when the RNG queue is empty (guaranteed in a serve
-    # window) — bypass the policy layer for it.  No request arrives
-    # during the window, so a read-only backlog stays read-only and
-    # the write-drain hysteresis cannot engage: the branch holds for
-    # the whole window and is hoisted out of the loop.
-    fast = self._fast_policy and not write_entries and not self._write_draining
-
-    # Close any quiet segment deferred from before the window; the
-    # cycles [now, first serve point) are accounted inline below.
-    if self._skip_kind is not None:
-        self.catch_up(now)
-
-    t = channel.bus_free_at - lookahead
-    if t < now:
-        t = now
-    elif t > now:
-        # Quiet busy lead-in (the bus is still draining): same bulk
-        # accounting as `skip_cycles` with kind "busy" and pending
-        # regular work (no idle streak).
-        lead = min(t, limit) - now
-        stats.busy_cycles += lead
-        read_queue.bulk_sample_occupancy(lead)
-
-    while t < limit and (read_entries or write_entries):
-        # Faithful replay of `tick(t)`: the scheduler has no event in
-        # the window (its per-cycle hook is a no-op by the
-        # next_event_cycle contract), completions due fire first, the
-        # cycle is busy (pending regular work, never idle), occupancy
-        # is sampled before scheduling, and the fill check was proven
-        # false for the whole window by the pre-flight.
-        while inflight and inflight[0][0] <= t:
-            completion, _, request = heappop(inflight)
-            request.completion_cycle = completion
-            callback = request.callback
-            if callback is not None:
-                callback(request)
-            pool = request.pool
-            if pool is not None:
-                pool.append(request)
-        stats.busy_cycles += 1
-        read_queue.occupancy_samples += 1
-        read_queue.occupancy_sum += len(read_entries)
-        if fast:
-            index = select_index(read_queue, self, t)
-            if index >= 0:
-                # Read issue inlined (the window preconditions
-                # guarantee the read queue holds only decoded
-                # non-RNG reads): body of _issue_regular's read
-                # branch, minus the identity re-scan remove() and
-                # the write-path tests.
-                request = remove_at(index)
-                request.issue_cycle = t
-                decoded = request.decoded
-                if decoded is None:
-                    decoded = self.decode(request)
-                finish, _ = service_access(
-                    decoded.flat_bank, decoded.row, t, is_write=False
-                )
-                notify_served(request, t)
-                stats.served_reads += 1
-                completion = finish + backend_latency
-                heappush(
-                    inflight, (completion, next(inflight_counter), request)
-                )
-                slot = request.window_slot
-                if slot is not None:
-                    slot.ready_at = completion
-        else:
-            self._schedule_regular(t)
-        nxt = channel.bus_free_at - lookahead
-        if nxt <= t:
-            nxt = t + 1
-        elif nxt > limit:
-            nxt = limit
-        gap = nxt - t - 1
-        if gap > 0:
-            stats.busy_cycles += gap
-            read_queue.bulk_sample_occupancy(gap)
-        t = nxt
-
-    if t < limit:
-        # Work ran out (reads all in flight): the rest of the window
-        # is quiet busy cycles.
-        tail = limit - t
-        stats.busy_cycles += tail
-        read_queue.bulk_sample_occupancy(tail)
-
-    # Completions due strictly inside the window fire before the
-    # engine resumes; one due exactly at `limit` is the next event.
-    while inflight and inflight[0][0] < limit:
-        completion, _, request = heappop(inflight)
-        request.completion_cycle = completion
-        callback = request.callback
-        if callback is not None:
-            callback(request)
-        pool = request.pool
-        if pool is not None:
-            pool.append(request)
-
-    # Prime the event-bound cache for the engine's next probe (every
-    # constituent is at or past `limit` by the window preconditions);
-    # with no work left, fall back to a normal recompute.
-    if read_entries or write_entries:
-        self._prime_queued_bound(limit)
-    else:
-        self._bound_cache_valid = False
-
-
-def channel_tick(self, now: int) -> None:
-    """Advance the controller by one bus cycle.
-
-    A module-level codegen unit like :func:`channel_serve_batch`:
-    :class:`ChannelController` executes it directly
-    (``tick = channel_tick``) and :mod:`repro.sim.codegen` renders the
-    same source with the design-resolved hooks (``_scheduler_tick``,
-    ``_scheduler_event_probe``, ``fill_policy``, ``_fill_buffer``)
-    folded to the spec's constants and the scheduling call pointed at
-    the specialised :func:`channel_schedule_regular` rendering.
-    """
-    if self._skip_kind is not None:
-        self.catch_up(now)
-    self._bound_cache_valid = False
-    if self._scheduler_tick is not None:
-        self._scheduler_tick(now)
-    inflight = self._inflight
-    if inflight and inflight[0][0] <= now:
-        self._complete_finished(now)
-    if self._rng_op is not None:
-        self._advance_rng_mode(now)
-
-    # Idle periods are defined with respect to *regular* traffic
-    # (Section 5.1): the streak keeps counting while the channel is
-    # generating random numbers, so that the idleness predictors are
-    # trained on the true gap between regular requests.
-    read_queue = self.read_queue
-    pending = read_queue._entries or self.write_queue._entries or inflight
-    if not pending:
-        self.idle_streak += 1
-
-    if self.mode is ExecutionMode.RNG:
-        self.stats.rng_mode_cycles += 1
-        read_queue.occupancy_samples += 1
-        read_queue.occupancy_sum += len(read_queue._entries)
-        return
-
-    if not pending and now >= self.channel.bus_free_at:
-        self.stats.idle_cycles += 1
-        if self.fill_policy is not None:
-            self.fill_policy.on_idle_cycle(self, now)
-    else:
-        self.stats.busy_cycles += 1
-
-    # Inline occupancy sample (sample_occupancy would be a call per tick).
-    read_queue.occupancy_samples += 1
-    read_queue.occupancy_sum += len(read_queue._entries)
-
-    if self.fill_policy is not None and self.fill_policy.should_start_fill(self, now):
-        self._start_fill(now)
-        return
-
-    self._schedule_regular(now)
-
-    # Prime the event-bound cache while the post-schedule state is at
-    # hand (body of _prime_queued_bound, inlined on this per-tick
-    # path); the idle branches (fill events, bus-drain-to-idle) and
-    # RNG mode stay on the full recompute path.
-    if self.mode is ExecutionMode.REGULAR and (
-        read_queue._entries or self.write_queue._entries
-    ):
-        bound = self.channel.bus_free_at - self._issue_lookahead
-        if bound < now:
-            bound = now
-        inflight = self._inflight
-        if inflight and inflight[0][0] < bound:
-            bound = inflight[0][0]
-        if self._scheduler_event_probe is not None:
-            event = self._scheduler_event_probe(now)
-            if event is not None and event < bound:
-                bound = event
-        self._bound_cache = bound
-        self._bound_cache_valid = True
-        buffer = self._fill_buffer
-        if buffer is not None:
-            self._fill_buffer_version = buffer.version
-
-
-def channel_schedule_regular(self, now: int) -> None:
-    """One Regular-Execution-Mode scheduling decision at cycle ``now``.
-
-    A module-level codegen unit: :class:`ChannelController` executes it
-    directly (``_schedule_regular = channel_schedule_regular``) and
-    :mod:`repro.sim.codegen` specialises the same source — the
-    ``_fast_policy`` test folded to the design's constant and the
-    scheduler's hoisted ``select_index`` / ``notify_served`` locals
-    inlined as the concrete scheduler's scan, mirroring
-    :func:`channel_serve_batch`.
-    """
-    channel = self.channel
-    if channel.bus_free_at - now > self._issue_lookahead:
-        return
-
-    if self._should_drain_writes():
-        request = self._select_write(now)
-        if request is not None:
-            self._issue_regular(self.write_queue, request, now)
-        return
-
-    if self._fast_policy:
-        # Baseline policy inlined: within-queue scheduler over the
-        # read queue, then the stray-RNG-queue drain it falls back to.
-        read_queue = self.read_queue
-        scheduler = self.scheduler
-        select_index = scheduler.select_index
-        index = select_index(read_queue, self, now)
-        if index >= 0:
-            request = read_queue._entries[index]
-            if request.type is RequestType.RNG:
-                self._start_demand_rng(read_queue, request, now)
-                return
-            # Issue inlined (body of _issue_regular, minus the
-            # identity re-scan remove() — the slot index is in hand).
-            read_queue.remove_at(index)
-            request.issue_cycle = now
-            decoded = request.decoded
-            if decoded is None:
-                decoded = self.decode(request)
-            is_write = request.type is RequestType.WRITE
-            finish, _ = channel.service_access(
-                decoded.flat_bank, decoded.row, now, is_write=is_write
-            )
-            notify_served = scheduler.notify_served
-            notify_served(request, now)
-            if is_write:
-                self.stats.served_writes += 1
-                request.completion_cycle = finish
-                callback = request.callback
-                if callback is not None:
-                    callback(request)
-                pool = request.pool
-                if pool is not None:
-                    pool.append(request)
-            else:
-                self.stats.served_reads += 1
-                completion = finish + self._backend_latency
-                heapq.heappush(
-                    self._inflight,
-                    (completion, next(self._inflight_counter), request),
-                )
-                slot = request.window_slot
-                if slot is not None:
-                    slot.ready_at = completion
-            return
-        rng_queue = self.rng_queue
-        if rng_queue is not None and rng_queue._entries:
-            self._start_demand_rng(rng_queue, rng_queue._entries[0], now)
-            return
-    else:
-        selection = self.queue_policy.select(self, now)
-        if selection is not None:
-            queue, request = selection
-            if request.type is RequestType.RNG:
-                self._start_demand_rng(queue, request, now)
-            else:
-                self._issue_regular(queue, request, now)
-            return
-
-    # Opportunistic write issue when there is nothing else to do.
-    if self.write_queue._entries:
-        request = self._select_write(now)
-        if request is not None:
-            self._issue_regular(self.write_queue, request, now)
-
-
-def controller_next_event_cycle(self, now: int) -> Optional[int]:
-    """Lower bound on the next cycle at which the controller changes state.
-
-    Returns ``now`` when the controller cannot bound its next event
-    (the engine must tick it normally), a future cycle when every
-    tick before that cycle is *quiet* (only linear counters advance,
-    which :func:`controller_skip_cycles` applies in bulk), or ``None``
-    when the controller generates no events at all until new work
-    arrives — arrivals come from cores and the RNG subsystem, whose
-    own bounds cover them.
-
-    A module-level codegen unit: :class:`ChannelController` executes it
-    directly (``next_event_cycle = controller_next_event_cycle``) and
-    :mod:`repro.sim.codegen` inlines the same source at the generated
-    dispatch loop's bound-scan sites with the fill-buffer check folded
-    to the design's constant.
-    """
-    if self._bound_cache_valid:
-        buffer = self._fill_buffer
-        if buffer is None or buffer.version == self._fill_buffer_version:
-            return self._bound_cache
-        self._bound_cache_valid = False
-    # Recomputing must see current state: close any deferred quiet
-    # segment first (e.g. the idle streak a fill-policy threshold is
-    # measured against — a buffer change elsewhere can invalidate the
-    # cache mid-deferral).
-    if self._skip_kind is not None:
-        self.catch_up(now)
-    bound = self._compute_event_bound(now)
-    if bound is None or bound > now:
-        # Quiet bounds are cacheable: everything they derive from is
-        # frozen until the next tick or enqueue invalidates them.
-        self._bound_cache = bound
-        self._bound_cache_valid = True
-        buffer = self._fill_buffer
-        if buffer is not None:
-            self._fill_buffer_version = buffer.version
-    return bound
-
-
-def controller_skip_cycles(self, now: int, target: int) -> None:
-    """Note the quiet ticks for cycles ``[now, target)``.
-
-    Only valid when :func:`controller_next_event_cycle` returned at
-    least ``target``: every skipped tick then increments counters whose
-    per-cycle deltas are constant across the range.  The counters are
-    not applied eagerly — consecutive quiet ranges with the same
-    classification (idle / busy / RNG mode) collapse into a single
-    deferred segment that :func:`controller_catch_up` closes before the
-    next state change (a tick, an arriving request, or the end of the
-    simulation).
-
-    A module-level codegen unit (``skip_cycles = controller_skip_cycles``
-    on the class); the generated dispatch inlines it with the
-    fill-policy snapshot folded away for fill-less designs.
-    """
-    pending = self.read_queue._entries or self.write_queue._entries or self._inflight
-    if self.mode is ExecutionMode.RNG:
-        kind = "rng"
-    elif not pending and now >= self.channel.bus_free_at:
-        kind = "idle"
-    else:
-        kind = "busy"
-    if kind == self._skip_kind:
-        return
-    if self._skip_kind is not None:
-        self._apply_skip(now)
-    self._skip_kind = kind
-    self._skip_from = now
-    self._skip_streak = not pending
-    if kind == "idle" and self.fill_policy is not None:
-        # Idle segments replay the fill policy's per-cycle checks at
-        # close time; snapshot the state those checks must run under
-        # (the shared buffer can change before the segment closes).
-        self._skip_fill_gate = self.fill_policy.begin_idle_skip(self)
-
-
-def controller_catch_up(self, now: int) -> None:
-    """Close the deferred quiet segment before state changes at ``now``.
-
-    A module-level codegen unit (``catch_up = controller_catch_up``).
-    """
-    if self._skip_kind is not None:
-        self._apply_skip(now)
-        self._skip_kind = None
-
-
-def controller_apply_skip(self, end: int) -> None:
-    """Apply the deferred segment's counters for cycles ``[from, end)``.
-
-    A module-level codegen unit (``_apply_skip = controller_apply_skip``);
-    the generated rendering folds the fill-policy replay to the design's
-    constant.
-    """
-    skipped = end - self._skip_from
-    if skipped <= 0:
-        return
-    stats = self.stats
-    kind = self._skip_kind
-    if self._skip_streak:
-        self.idle_streak += skipped
-    if kind == "idle":
-        stats.idle_cycles += skipped
-        if self.fill_policy is not None:
-            self.fill_policy.skip_idle_cycles(self, skipped, self._skip_fill_gate)
-    elif kind == "busy":
-        stats.busy_cycles += skipped
-    else:
-        stats.rng_mode_cycles += skipped
-    queue = self.read_queue
-    queue.occupancy_samples += skipped
-    queue.occupancy_sum += skipped * len(queue._entries)
-
-
 class ChannelController:
     """Memory controller for a single DRAM channel."""
 
@@ -747,15 +304,108 @@ class ChannelController:
 
     # ------------------------------------------------------------------ main loop
 
-    # The per-cycle step executes the module-level channel_tick for the
-    # contract and the codegen story (see its docstring).
-    tick = channel_tick
+    def tick(self, now: int) -> None:
+        """Advance the controller by one bus cycle."""
+        if self._skip_kind is not None:
+            self.catch_up(now)
+        self._bound_cache_valid = False
+        if self._scheduler_tick is not None:
+            self._scheduler_tick(now)
+        inflight = self._inflight
+        if inflight and inflight[0][0] <= now:
+            self._complete_finished(now)
+        if self._rng_op is not None:
+            self._advance_rng_mode(now)
+
+        # Idle periods are defined with respect to *regular* traffic
+        # (Section 5.1): the streak keeps counting while the channel is
+        # generating random numbers, so that the idleness predictors are
+        # trained on the true gap between regular requests.
+        read_queue = self.read_queue
+        pending = read_queue._entries or self.write_queue._entries or inflight
+        if not pending:
+            self.idle_streak += 1
+
+        if self.mode is ExecutionMode.RNG:
+            self.stats.rng_mode_cycles += 1
+            read_queue.occupancy_samples += 1
+            read_queue.occupancy_sum += len(read_queue._entries)
+            return
+
+        if not pending and now >= self.channel.bus_free_at:
+            self.stats.idle_cycles += 1
+            if self.fill_policy is not None:
+                self.fill_policy.on_idle_cycle(self, now)
+        else:
+            self.stats.busy_cycles += 1
+
+        # Inline occupancy sample (sample_occupancy would be a call per tick).
+        read_queue.occupancy_samples += 1
+        read_queue.occupancy_sum += len(read_queue._entries)
+
+        if self.fill_policy is not None and self.fill_policy.should_start_fill(self, now):
+            self._start_fill(now)
+            return
+
+        self._schedule_regular(now)
+
+        # Prime the event-bound cache while the post-schedule state is at
+        # hand (body of _prime_queued_bound, inlined on this per-tick
+        # path); the idle branches (fill events, bus-drain-to-idle) and
+        # RNG mode stay on the full recompute path.
+        if self.mode is ExecutionMode.REGULAR and (
+            read_queue._entries or self.write_queue._entries
+        ):
+            bound = self.channel.bus_free_at - self._issue_lookahead
+            if bound < now:
+                bound = now
+            inflight = self._inflight
+            if inflight and inflight[0][0] < bound:
+                bound = inflight[0][0]
+            if self._scheduler_event_probe is not None:
+                event = self._scheduler_event_probe(now)
+                if event is not None and event < bound:
+                    bound = event
+            self._bound_cache = bound
+            self._bound_cache_valid = True
+            buffer = self._fill_buffer
+            if buffer is not None:
+                self._fill_buffer_version = buffer.version
 
     # ------------------------------------------------------------------ cycle skipping
 
-    # Event bound with quiet-bound caching: the module-level codegen
-    # unit (see its docstring for the contract).
-    next_event_cycle = controller_next_event_cycle
+    def next_event_cycle(self, now: int) -> Optional[int]:
+        """Lower bound on the next cycle at which :meth:`tick` changes state.
+
+        Returns ``now`` when the controller cannot bound its next event
+        (the engine must tick it normally), a future cycle when every
+        tick before that cycle is *quiet* (only linear counters advance,
+        which :meth:`skip_cycles` applies in bulk), or ``None`` when the
+        controller generates no events at all until new work arrives —
+        arrivals come from cores and the RNG subsystem, whose own bounds
+        cover them.
+        """
+        if self._bound_cache_valid:
+            buffer = self._fill_buffer
+            if buffer is None or buffer.version == self._fill_buffer_version:
+                return self._bound_cache
+            self._bound_cache_valid = False
+        # Recomputing must see current state: close any deferred quiet
+        # segment first (e.g. the idle streak a fill-policy threshold is
+        # measured against — a buffer change elsewhere can invalidate the
+        # cache mid-deferral).
+        if self._skip_kind is not None:
+            self.catch_up(now)
+        bound = self._compute_event_bound(now)
+        if bound is None or bound > now:
+            # Quiet bounds are cacheable: everything they derive from is
+            # frozen until the next tick or enqueue invalidates them.
+            self._bound_cache = bound
+            self._bound_cache_valid = True
+            buffer = self._fill_buffer
+            if buffer is not None:
+                self._fill_buffer_version = buffer.version
+        return bound
 
     def _prime_queued_bound(self, now: int) -> None:
         """Cache the event bound for the queued-regular-work state.
@@ -842,19 +492,222 @@ class ChannelController:
                     bound = fill_event
         return bound
 
-    # Deferred quiet-segment bookkeeping: the module-level codegen units
-    # (see their docstrings for the contract).
-    skip_cycles = controller_skip_cycles
-    catch_up = controller_catch_up
+    def skip_cycles(self, now: int, target: int) -> None:
+        """Note the quiet ticks for cycles ``[now, target)``.
+
+        Only valid when :meth:`next_event_cycle` returned at least
+        ``target``: every skipped tick then increments counters whose
+        per-cycle deltas are constant across the range.  The counters are
+        not applied eagerly — consecutive quiet ranges with the same
+        classification (idle / busy / RNG mode) collapse into a single
+        deferred segment that :meth:`catch_up` closes before the next
+        state change (a tick, an arriving request, or the end of the
+        simulation).
+        """
+        pending = self.read_queue._entries or self.write_queue._entries or self._inflight
+        if self.mode is ExecutionMode.RNG:
+            kind = "rng"
+        elif not pending and now >= self.channel.bus_free_at:
+            kind = "idle"
+        else:
+            kind = "busy"
+        if kind == self._skip_kind:
+            return
+        if self._skip_kind is not None:
+            self._apply_skip(now)
+        self._skip_kind = kind
+        self._skip_from = now
+        self._skip_streak = not pending
+        if kind == "idle" and self.fill_policy is not None:
+            # Idle segments replay the fill policy's per-cycle checks at
+            # close time; snapshot the state those checks must run under
+            # (the shared buffer can change before the segment closes).
+            self._skip_fill_gate = self.fill_policy.begin_idle_skip(self)
+
+    def catch_up(self, now: int) -> None:
+        """Close the deferred quiet segment before state changes at ``now``."""
+        if self._skip_kind is not None:
+            self._apply_skip(now)
+            self._skip_kind = None
 
     # ------------------------------------------------------------------ batched serving
 
-    # The interpreted rendering of the shared batched-serving unit (see
-    # module-level channel_serve_batch for the contract and the codegen
-    # relationship).
-    serve_batch = channel_serve_batch
+    def serve_batch(self, now: int, limit: int) -> None:
+        """Resolve every serve decision in cycles ``[now, limit)`` in one call.
 
-    _apply_skip = controller_apply_skip
+        The engine calls this instead of per-cycle dispatch when the
+        decision inputs are provably stable across the window (see
+        :meth:`EventEngine._serve_window_end <repro.sim.engine.EventEngine>`):
+
+        * no request arrives at this controller during the window (every
+          core is window-stalled and the RNG subsystem is quiet),
+        * the controller is in Regular Execution Mode with pending regular
+          work throughout the window (no idle transition, so the idle
+          streak and fill policy stay untouched),
+        * no RNG-type request is queued (serving one would switch modes),
+        * the within-queue scheduler has no event in the window (e.g. a
+          BLISS clearing boundary),
+        * no completion inside the window re-activates a core (waking
+          completions bound the window), and
+        * the fill policy reports no low-utilisation hazard at ``now``.
+
+        Under those preconditions every tick in the window is either a
+        quiet busy tick (constant counter deltas, applied in bulk) or a
+        serve tick whose decision depends only on controller-local state —
+        so the reference tick sequence is replayed exactly, just without
+        returning to the engine between cycles.  Completions due inside
+        the window fire at their recorded cycles' effects (the latency a
+        callback records uses the request's own ``completion_cycle``) and
+        only flip mid-window slots, which no stalled core observes before
+        the window ends.
+        """
+        inflight = self._inflight
+        read_queue = self.read_queue
+        read_entries = read_queue._entries
+        write_entries = self.write_queue._entries
+        channel = self.channel
+        lookahead = self._issue_lookahead
+        backend_latency = self._backend_latency
+        inflight_counter = self._inflight_counter
+        stats = self.stats
+        scheduler = self.scheduler
+        # Per-serve call targets resolved once per window: the scheduler's
+        # scan and bookkeeping hooks, the channel's access model and the
+        # heap primitives are all loop-invariant.
+        select_index = scheduler.select_index
+        notify_served = scheduler.notify_served
+        service_access = channel.service_access
+        remove_at = read_queue.remove_at
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        # The RNG-oblivious baseline policy reduces to the within-queue
+        # scheduler when the RNG queue is empty (guaranteed in a serve
+        # window) — bypass the policy layer for it.  No request arrives
+        # during the window, so a read-only backlog stays read-only and
+        # the write-drain hysteresis cannot engage: the branch holds for
+        # the whole window and is hoisted out of the loop.
+        fast = self._fast_policy and not write_entries and not self._write_draining
+
+        # Close any quiet segment deferred from before the window; the
+        # cycles [now, first serve point) are accounted inline below.
+        if self._skip_kind is not None:
+            self.catch_up(now)
+
+        t = channel.bus_free_at - lookahead
+        if t < now:
+            t = now
+        elif t > now:
+            # Quiet busy lead-in (the bus is still draining): same bulk
+            # accounting as `skip_cycles` with kind "busy" and pending
+            # regular work (no idle streak).
+            lead = min(t, limit) - now
+            stats.busy_cycles += lead
+            read_queue.bulk_sample_occupancy(lead)
+
+        while t < limit and (read_entries or write_entries):
+            # Faithful replay of `tick(t)`: the scheduler has no event in
+            # the window (its per-cycle hook is a no-op by the
+            # next_event_cycle contract), completions due fire first, the
+            # cycle is busy (pending regular work, never idle), occupancy
+            # is sampled before scheduling, and the fill check was proven
+            # false for the whole window by the pre-flight.
+            while inflight and inflight[0][0] <= t:
+                completion, _, request = heappop(inflight)
+                request.completion_cycle = completion
+                callback = request.callback
+                if callback is not None:
+                    callback(request)
+                pool = request.pool
+                if pool is not None:
+                    pool.append(request)
+            stats.busy_cycles += 1
+            read_queue.occupancy_samples += 1
+            read_queue.occupancy_sum += len(read_entries)
+            if fast:
+                index = select_index(read_queue, self, t)
+                if index >= 0:
+                    # Read issue inlined (the window preconditions
+                    # guarantee the read queue holds only decoded
+                    # non-RNG reads): body of _issue_regular's read
+                    # branch, minus the identity re-scan remove() and
+                    # the write-path tests.
+                    request = remove_at(index)
+                    request.issue_cycle = t
+                    decoded = request.decoded
+                    if decoded is None:
+                        decoded = self.decode(request)
+                    finish, _ = service_access(
+                        decoded.flat_bank, decoded.row, t, is_write=False
+                    )
+                    notify_served(request, t)
+                    stats.served_reads += 1
+                    completion = finish + backend_latency
+                    heappush(
+                        inflight, (completion, next(inflight_counter), request)
+                    )
+                    slot = request.window_slot
+                    if slot is not None:
+                        slot.ready_at = completion
+            else:
+                self._schedule_regular(t)
+            nxt = channel.bus_free_at - lookahead
+            if nxt <= t:
+                nxt = t + 1
+            elif nxt > limit:
+                nxt = limit
+            gap = nxt - t - 1
+            if gap > 0:
+                stats.busy_cycles += gap
+                read_queue.bulk_sample_occupancy(gap)
+            t = nxt
+
+        if t < limit:
+            # Work ran out (reads all in flight): the rest of the window
+            # is quiet busy cycles.
+            tail = limit - t
+            stats.busy_cycles += tail
+            read_queue.bulk_sample_occupancy(tail)
+
+        # Completions due strictly inside the window fire before the
+        # engine resumes; one due exactly at `limit` is the next event.
+        while inflight and inflight[0][0] < limit:
+            completion, _, request = heappop(inflight)
+            request.completion_cycle = completion
+            callback = request.callback
+            if callback is not None:
+                callback(request)
+            pool = request.pool
+            if pool is not None:
+                pool.append(request)
+
+        # Prime the event-bound cache for the engine's next probe (every
+        # constituent is at or past `limit` by the window preconditions);
+        # with no work left, fall back to a normal recompute.
+        if read_entries or write_entries:
+            self._prime_queued_bound(limit)
+        else:
+            self._bound_cache_valid = False
+
+    def _apply_skip(self, end: int) -> None:
+        """Apply the deferred segment's counters for cycles ``[from, end)``."""
+        skipped = end - self._skip_from
+        if skipped <= 0:
+            return
+        stats = self.stats
+        kind = self._skip_kind
+        if self._skip_streak:
+            self.idle_streak += skipped
+        if kind == "idle":
+            stats.idle_cycles += skipped
+            if self.fill_policy is not None:
+                self.fill_policy.skip_idle_cycles(self, skipped, self._skip_fill_gate)
+        elif kind == "busy":
+            stats.busy_cycles += skipped
+        else:
+            stats.rng_mode_cycles += skipped
+        queue = self.read_queue
+        queue.occupancy_samples += skipped
+        queue.occupancy_sum += skipped * len(queue._entries)
 
     # ------------------------------------------------------------------ completion
 
@@ -972,9 +825,48 @@ class ChannelController:
 
     # ------------------------------------------------------------------ regular mode
 
-    # One scheduling decision per regular-mode cycle: the module-level
-    # channel_schedule_regular (a codegen unit like serve_batch above).
-    _schedule_regular = channel_schedule_regular
+    def _schedule_regular(self, now: int) -> None:
+        if self.channel.bus_free_at - now > self._issue_lookahead:
+            return
+
+        if self._should_drain_writes():
+            request = self._select_write(now)
+            if request is not None:
+                self._issue_regular(self.write_queue, request, now)
+            return
+
+        if self._fast_policy:
+            # Baseline policy inlined: within-queue scheduler over the
+            # read queue, then the stray-RNG-queue drain it falls back to.
+            read_queue = self.read_queue
+            index = self.scheduler.select_index(read_queue, self, now)
+            if index >= 0:
+                request = read_queue._entries[index]
+                if request.type is RequestType.RNG:
+                    self._start_demand_rng(read_queue, request, now)
+                else:
+                    read_queue.remove_at(index)
+                    self._issue_removed(request, now)
+                return
+            rng_queue = self.rng_queue
+            if rng_queue is not None and rng_queue._entries:
+                self._start_demand_rng(rng_queue, rng_queue._entries[0], now)
+                return
+        else:
+            selection = self.queue_policy.select(self, now)
+            if selection is not None:
+                queue, request = selection
+                if request.type is RequestType.RNG:
+                    self._start_demand_rng(queue, request, now)
+                else:
+                    self._issue_regular(queue, request, now)
+                return
+
+        # Opportunistic write issue when there is nothing else to do.
+        if self.write_queue._entries:
+            request = self._select_write(now)
+            if request is not None:
+                self._issue_regular(self.write_queue, request, now)
 
     def _should_drain_writes(self) -> bool:
         occupancy = len(self.write_queue._entries)

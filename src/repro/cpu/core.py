@@ -151,250 +151,6 @@ class _RNGCompletion:
         core.stats.rng_latency_sum += max(0, completion_cycle - self.issue_cycle)
 
 
-def core_next_event_cycle(self, now: int) -> Optional[int]:
-    """Lower bound on the next cycle at which :meth:`Core.tick` must run.
-
-    ``now`` means the core is active and must be ticked normally.  A
-    future cycle means the ticks before it are pure bubble streaming
-    (retire ``slots_per_bus_cycle`` done slots, issue as many bubbles)
-    that :func:`core_skip_cycles` replays in closed form.  ``None``
-    means the core is stalled — instruction window full behind an
-    outstanding memory or RNG request — and can only be woken by a
-    completion callback, which belongs to another component's bound.
-
-    A module-level codegen unit: :class:`Core` executes it directly
-    (``next_event_cycle = core_next_event_cycle``) and
-    :mod:`repro.sim.codegen` inlines the same source at the generated
-    dispatch loop's bound-scan sites.
-    """
-    if self._pending_write >= 0:
-        # Writeback back-pressure retries the enqueue every cycle.
-        return now
-    slots = self._slots_per_cycle
-    retired_seq = self._retired_seq
-    occupancy = self._issued_seq - retired_seq
-    fifo = self._undone_fifo
-    head = fifo[0] if fifo else None
-    if head is not None and head.seq == retired_seq and not head.done:
-        space = self._window_size - occupancy
-        if space <= 0:
-            return None
-        if self._bubbles_left > slots:
-            # Window filling behind a blocked head: each tick retires
-            # nothing and issues one issue-width of done bubbles.
-            fill_ticks = space // slots
-            if fill_ticks:
-                bubble_ticks = (self._bubbles_left - 1) // slots
-                return now + min(fill_ticks, bubble_ticks)
-        return now
-    if self._bubbles_left > slots:
-        if not self._undone_slots:
-            if occupancy < slots:
-                return now
-            # Pure streaming: the window is all done and more than one
-            # issue-width of bubbles remains at every tick start.
-            quiet_ticks = (self._bubbles_left - 1) // slots
-        else:
-            # Mixed window: bubbles stream in behind the tail while
-            # older requests are still outstanding mid-window.
-            # Retirement is in issue order, so full batches retire as
-            # long as the done run ahead of the oldest outstanding
-            # slot spans at least one issue width per tick.
-            while fifo and fifo[0].done:
-                fifo.popleft()
-            retire_ticks = (fifo[0].seq - retired_seq) // slots
-            if not retire_ticks:
-                return now
-            quiet_ticks = min(retire_ticks, (self._bubbles_left - 1) // slots)
-            if not quiet_ticks:
-                return now
-        if self.finish_cycle is None:
-            # Crossing the target instruction count is an event (the
-            # engine must re-check ``all_finished`` right after it).
-            remaining = self.target_instructions - self.stats.instructions
-            finishing_tick = -(-remaining // slots)
-            if finishing_tick < quiet_ticks:
-                quiet_ticks = finishing_tick
-        return now + quiet_ticks
-    return now
-
-
-def core_skip_cycles(self, now: int, target: int) -> None:
-    """Apply the effects of the quiet ticks for cycles ``[now, target)``.
-
-    A module-level codegen unit like :func:`core_next_event_cycle`
-    (``skip_cycles = core_skip_cycles`` on :class:`Core`).
-    """
-    skipped = target - now
-    slots = self._slots_per_cycle
-    fifo = self._undone_fifo
-    head = fifo[0] if fifo else None
-    if head is not None and head.seq == self._retired_seq and not head.done:
-        self.stats.cycles += skipped
-        if self._issued_seq - self._retired_seq >= self._window_size:
-            # Stalled: every skipped tick is a memory-stall cycle.
-            self.stats.memory_stall_cycles += skipped
-            if head.is_rng:
-                self.stats.rng_stall_cycles += skipped
-        else:
-            # Window filling behind a blocked head: bubbles stream in
-            # without retiring (no stall is recorded while issuing).
-            count = slots * skipped
-            self._issued_seq += count
-            self._bubbles_left -= count
-        return
-    # Bubble streaming: each tick retires a full batch of done slots
-    # and issues as many bubbles — in the counter representation both
-    # sides are pure arithmetic (the retired prefix is all done, and
-    # done slots are observationally interchangeable).
-    count = slots * skipped
-    if self.finish_cycle is None and (
-        self.stats.instructions + count >= self.target_instructions
-    ):
-        finishing_tick = -(-(self.target_instructions - self.stats.instructions) // slots)
-        snapshot = self.stats.copy()
-        snapshot.cycles += finishing_tick
-        snapshot.instructions += slots * finishing_tick
-        self.finish_cycle = now + finishing_tick - 1
-        self.finished_stats = snapshot
-    self.stats.cycles += skipped
-    self.stats.instructions += count
-    self._bubbles_left -= count
-    self._issued_seq += count
-    self._retired_seq += count
-
-
-def core_tick(self, now: int) -> None:
-    """Advance the core by one DRAM bus cycle.
-
-    A module-level codegen unit (``tick = core_tick`` on :class:`Core`):
-    :mod:`repro.sim.codegen` renders it with :func:`core_retire` /
-    :func:`core_issue` inlined and the slots-per-cycle / window-size
-    facts folded to literals.
-    """
-    self.stats.cycles += 1
-
-    retired = self._retire()
-    issued = self._issue(now)
-
-    if retired == 0 and issued == 0:
-        fifo = self._undone_fifo
-        head = fifo[0] if fifo else None
-        head_blocked = (
-            head is not None and head.seq == self._retired_seq and not head.done
-        )
-        if head_blocked or self._pending_write >= 0:
-            self.stats.memory_stall_cycles += 1
-            if head_blocked and head.is_rng:
-                self.stats.rng_stall_cycles += 1
-
-    if self.finish_cycle is None and self.stats.instructions >= self.target_instructions:
-        self.finish_cycle = now
-        self.finished_stats = self.stats.copy()
-
-
-def core_retire(self) -> int:
-    """Retire up to one cycle's slot budget (codegen unit, see
-    :func:`core_tick`; ``_retire = core_retire`` on :class:`Core`)."""
-    budget = self._slots_per_cycle
-    # Drop completed heads from the outstanding-slot FIFO here (not
-    # only in the skip-bound computation) so it cannot accumulate one
-    # entry per memory request over a whole run.
-    fifo = self._undone_fifo
-    while fifo and fifo[0].done:
-        fifo.popleft()
-    # Retirement is in issue order: everything older than the oldest
-    # outstanding slot is done, so the retirable run is the window
-    # occupancy capped by that slot's sequence, capped by the budget.
-    retired = self._issued_seq - self._retired_seq
-    if fifo:
-        run = fifo[0].seq - self._retired_seq
-        if run < retired:
-            retired = run
-    if retired > budget:
-        retired = budget
-    self._retired_seq += retired
-    # Instructions count as executed when they retire (in order), so
-    # the finish condition reflects completed work, not issued work.
-    self.stats.instructions += retired
-    return retired
-
-
-def core_issue(self, now: int) -> int:
-    """Issue up to one cycle's slot budget (codegen unit, see
-    :func:`core_tick`; ``_issue = core_issue`` on :class:`Core`)."""
-    issued = 0
-    budget = self._slots_per_cycle
-    window_size = self._window_size
-    stats = self.stats
-
-    while issued < budget:
-        if self._pending_write >= 0:
-            # Back-pressure: the writeback must be accepted before the
-            # core moves on to the next trace entry.
-            if self._send_write(self._pending_write, self.core_id):
-                stats.writes_issued += 1
-                self._pending_write = -1
-            else:
-                break
-        occupancy = self._issued_seq - self._retired_seq
-        if occupancy >= window_size:
-            break
-
-        bubbles = self._bubbles_left
-        if bubbles > 0:
-            # Bubbles are issued in one batch: they complete
-            # immediately and never interact with anything, so the
-            # per-slot loop collapses to counter arithmetic.
-            take = budget - issued
-            if bubbles < take:
-                take = bubbles
-            space = window_size - occupancy
-            if space < take:
-                take = space
-            self._bubbles_left = bubbles - take
-            self._issued_seq += take
-            issued += take
-        elif self._pending_read >= 0:
-            slot = _WindowSlot(done=False)
-            slot.issued_at = now
-            slot.seq = self._issued_seq
-            if not self._send_read(self._pending_read, self.core_id, slot):
-                break  # Read queue full; retry next cycle.
-            self._undone_fifo.append(slot)
-            self._issued_seq += 1
-            self._undone_slots += 1
-            self._pending_read = -1
-            stats.reads_issued += 1
-            issued += 1
-        elif self._pending_rng > 0:
-            bits = self._pending_rng
-            self._pending_rng = 0
-            slot = _WindowSlot(done=False, is_rng=True)
-            slot.seq = self._issued_seq
-            self._undone_fifo.append(slot)
-            self._issued_seq += 1
-            self._undone_slots += 1
-            stats.rng_requests += 1
-            issued += 1
-            self._send_rng(bits, self.core_id, _RNGCompletion(self, slot, now))
-        elif self._pending_write < 0:
-            # Entry exhausted (no bubbles, read, write or RNG request
-            # left): advance to the next precompiled column position,
-            # wrapping to keep generating interference.
-            index = self._entry_index + 1
-            if index >= self._num_entries:
-                index = 0
-            self._entry_index = index
-            self._bubbles_left = self._col_bubbles[index]
-            self._pending_read = self._col_reads[index]
-            self._pending_write = self._col_writes[index]
-            self._pending_rng = self._col_rng[index]
-        else:
-            break
-    return issued
-
-
 class Core:
     """A single trace-driven core."""
 
@@ -489,18 +245,227 @@ class Core:
 
     # ------------------------------------------------------------------ main loop
 
-    # Per-cycle advance: the module-level codegen units (see their
-    # docstrings for the contract).
-    tick = core_tick
-    _retire = core_retire
-    _issue = core_issue
+    def tick(self, now: int) -> None:
+        """Advance the core by one DRAM bus cycle."""
+        self.stats.cycles += 1
+
+        retired = self._retire()
+        issued = self._issue(now)
+
+        if retired == 0 and issued == 0:
+            fifo = self._undone_fifo
+            head = fifo[0] if fifo else None
+            head_blocked = (
+                head is not None and head.seq == self._retired_seq and not head.done
+            )
+            if head_blocked or self._pending_write >= 0:
+                self.stats.memory_stall_cycles += 1
+                if head_blocked and head.is_rng:
+                    self.stats.rng_stall_cycles += 1
+
+        if self.finish_cycle is None and self.stats.instructions >= self.target_instructions:
+            self.finish_cycle = now
+            self.finished_stats = self.stats.copy()
+
+    def _retire(self) -> int:
+        budget = self._slots_per_cycle
+        # Drop completed heads from the outstanding-slot FIFO here (not
+        # only in the skip-bound computation) so it cannot accumulate one
+        # entry per memory request over a whole run.
+        fifo = self._undone_fifo
+        while fifo and fifo[0].done:
+            fifo.popleft()
+        # Retirement is in issue order: everything older than the oldest
+        # outstanding slot is done, so the retirable run is the window
+        # occupancy capped by that slot's sequence, capped by the budget.
+        retired = self._issued_seq - self._retired_seq
+        if fifo:
+            run = fifo[0].seq - self._retired_seq
+            if run < retired:
+                retired = run
+        if retired > budget:
+            retired = budget
+        self._retired_seq += retired
+        # Instructions count as executed when they retire (in order), so
+        # the finish condition reflects completed work, not issued work.
+        self.stats.instructions += retired
+        return retired
+
+    def _issue(self, now: int) -> int:
+        issued = 0
+        budget = self._slots_per_cycle
+        window_size = self._window_size
+        stats = self.stats
+
+        while issued < budget:
+            if self._pending_write >= 0:
+                # Back-pressure: the writeback must be accepted before the
+                # core moves on to the next trace entry.
+                if self._send_write(self._pending_write, self.core_id):
+                    stats.writes_issued += 1
+                    self._pending_write = -1
+                else:
+                    break
+            occupancy = self._issued_seq - self._retired_seq
+            if occupancy >= window_size:
+                break
+
+            bubbles = self._bubbles_left
+            if bubbles > 0:
+                # Bubbles are issued in one batch: they complete
+                # immediately and never interact with anything, so the
+                # per-slot loop collapses to counter arithmetic.
+                take = budget - issued
+                if bubbles < take:
+                    take = bubbles
+                space = window_size - occupancy
+                if space < take:
+                    take = space
+                self._bubbles_left = bubbles - take
+                self._issued_seq += take
+                issued += take
+            elif self._pending_read >= 0:
+                slot = _WindowSlot(done=False)
+                slot.issued_at = now
+                slot.seq = self._issued_seq
+                if not self._send_read(self._pending_read, self.core_id, slot):
+                    break  # Read queue full; retry next cycle.
+                self._undone_fifo.append(slot)
+                self._issued_seq += 1
+                self._undone_slots += 1
+                self._pending_read = -1
+                stats.reads_issued += 1
+                issued += 1
+            elif self._pending_rng > 0:
+                bits = self._pending_rng
+                self._pending_rng = 0
+                slot = _WindowSlot(done=False, is_rng=True)
+                slot.seq = self._issued_seq
+                self._undone_fifo.append(slot)
+                self._issued_seq += 1
+                self._undone_slots += 1
+                stats.rng_requests += 1
+                issued += 1
+                self._send_rng(bits, self.core_id, _RNGCompletion(self, slot, now))
+            elif self._pending_write < 0:
+                # Entry exhausted (no bubbles, read, write or RNG request
+                # left): advance to the next precompiled column position,
+                # wrapping to keep generating interference.
+                index = self._entry_index + 1
+                if index >= self._num_entries:
+                    index = 0
+                self._entry_index = index
+                self._bubbles_left = self._col_bubbles[index]
+                self._pending_read = self._col_reads[index]
+                self._pending_write = self._col_writes[index]
+                self._pending_rng = self._col_rng[index]
+            else:
+                break
+        return issued
 
     # ------------------------------------------------------------------ cycle skipping
 
-    # Cycle-skipping bound and bulk replay: the module-level codegen
-    # units (see their docstrings for the contract).
-    next_event_cycle = core_next_event_cycle
-    skip_cycles = core_skip_cycles
+    def next_event_cycle(self, now: int) -> Optional[int]:
+        """Lower bound on the next cycle at which :meth:`tick` must run.
+
+        ``now`` means the core is active and must be ticked normally.  A
+        future cycle means the ticks before it are pure bubble streaming
+        (retire ``slots_per_bus_cycle`` done slots, issue as many bubbles)
+        that :meth:`skip_cycles` replays in closed form.  ``None`` means
+        the core is stalled — instruction window full behind an
+        outstanding memory or RNG request — and can only be woken by a
+        completion callback, which belongs to another component's bound.
+        """
+        if self._pending_write >= 0:
+            # Writeback back-pressure retries the enqueue every cycle.
+            return now
+        slots = self._slots_per_cycle
+        retired_seq = self._retired_seq
+        occupancy = self._issued_seq - retired_seq
+        fifo = self._undone_fifo
+        head = fifo[0] if fifo else None
+        if head is not None and head.seq == retired_seq and not head.done:
+            space = self._window_size - occupancy
+            if space <= 0:
+                return None
+            if self._bubbles_left > slots:
+                # Window filling behind a blocked head: each tick retires
+                # nothing and issues one issue-width of done bubbles.
+                fill_ticks = space // slots
+                if fill_ticks:
+                    bubble_ticks = (self._bubbles_left - 1) // slots
+                    return now + min(fill_ticks, bubble_ticks)
+            return now
+        if self._bubbles_left > slots:
+            if not self._undone_slots:
+                if occupancy < slots:
+                    return now
+                # Pure streaming: the window is all done and more than one
+                # issue-width of bubbles remains at every tick start.
+                quiet_ticks = (self._bubbles_left - 1) // slots
+            else:
+                # Mixed window: bubbles stream in behind the tail while
+                # older requests are still outstanding mid-window.
+                # Retirement is in issue order, so full batches retire as
+                # long as the done run ahead of the oldest outstanding
+                # slot spans at least one issue width per tick.
+                while fifo and fifo[0].done:
+                    fifo.popleft()
+                retire_ticks = (fifo[0].seq - retired_seq) // slots
+                if not retire_ticks:
+                    return now
+                quiet_ticks = min(retire_ticks, (self._bubbles_left - 1) // slots)
+                if not quiet_ticks:
+                    return now
+            if self.finish_cycle is None:
+                # Crossing the target instruction count is an event (the
+                # engine must re-check ``all_finished`` right after it).
+                remaining = self.target_instructions - self.stats.instructions
+                finishing_tick = -(-remaining // slots)
+                if finishing_tick < quiet_ticks:
+                    quiet_ticks = finishing_tick
+            return now + quiet_ticks
+        return now
+
+    def skip_cycles(self, now: int, target: int) -> None:
+        """Apply the effects of the quiet ticks for cycles ``[now, target)``."""
+        skipped = target - now
+        slots = self._slots_per_cycle
+        fifo = self._undone_fifo
+        head = fifo[0] if fifo else None
+        if head is not None and head.seq == self._retired_seq and not head.done:
+            self.stats.cycles += skipped
+            if self._issued_seq - self._retired_seq >= self._window_size:
+                # Stalled: every skipped tick is a memory-stall cycle.
+                self.stats.memory_stall_cycles += skipped
+                if head.is_rng:
+                    self.stats.rng_stall_cycles += skipped
+            else:
+                # Window filling behind a blocked head: bubbles stream in
+                # without retiring (no stall is recorded while issuing).
+                count = slots * skipped
+                self._issued_seq += count
+                self._bubbles_left -= count
+            return
+        # Bubble streaming: each tick retires a full batch of done slots
+        # and issues as many bubbles — in the counter representation both
+        # sides are pure arithmetic (the retired prefix is all done, and
+        # done slots are observationally interchangeable).
+        count = slots * skipped
+        if self.finish_cycle is None and (
+            self.stats.instructions + count >= self.target_instructions
+        ):
+            finishing_tick = -(-(self.target_instructions - self.stats.instructions) // slots)
+            snapshot = self.stats.copy()
+            snapshot.cycles += finishing_tick
+            snapshot.instructions += slots * finishing_tick
+            self.finish_cycle = now + finishing_tick - 1
+            self.finished_stats = snapshot
+        self.stats.cycles += skipped
+        self.stats.instructions += count
+        self._bubbles_left -= count
+        self._issued_seq += count
+        self._retired_seq += count
 
     def catch_up_stall(self, start: int, end: int) -> None:
         """Account the deferred stall ticks for cycles ``[start, end)``.

@@ -45,89 +45,6 @@ class ChannelStats:
         return self.row_hits / total if total else 0.0
 
 
-def channel_service_access(
-    self,
-    bank_id: int,
-    row: int,
-    now: int,
-    is_write: bool = False,
-) -> tuple[int, AccessCategory]:
-    """Service one column access and return its data completion cycle.
-
-    The completion cycle is when the last beat of the data burst leaves
-    (read) or arrives at (write) the channel.  Bank preparation of
-    different banks may overlap; bursts serialise on the data bus.
-
-    A module-level codegen unit (``service_access =
-    channel_service_access`` on :class:`Channel`):
-    :mod:`repro.sim.codegen` renders it with the DDR timing parameters
-    folded to literals.
-    """
-    banks = self.banks
-    if not 0 <= bank_id < len(banks):
-        raise ValueError(f"bank_id {bank_id} out of range for channel {self.channel_id}")
-    bank = banks[bank_id]
-    timing = self.timing
-    stats = self.stats
-    bank_stats = bank.stats
-
-    # The bank state machine of :meth:`Bank.access` is applied inline
-    # here (classification, preparation latency, counters, open-row
-    # update, busy-until) — this per-access path is the hottest DRAM
-    # code in dense simulations and the method/enum indirections cost
-    # more than the logic.  Keep the two in sync.
-    ready = bank.ready_at
-    start = now if now >= ready else ready
-    open_row = bank.open_row
-    if open_row == row:
-        category = AccessCategory.ROW_HIT
-        column_ready = start
-        bank_stats.row_hits += 1
-        stats.row_hits += 1
-    elif open_row is None:
-        category = AccessCategory.ROW_CLOSED
-        column_ready = start + timing.tRCD
-        bank_stats.row_closed += 1
-        bank_stats.activations += 1
-        stats.row_closed += 1
-        bank.open_row = row
-        self.open_rows[bank_id] = row
-    else:
-        category = AccessCategory.ROW_CONFLICT
-        column_ready = start + timing.tRP + timing.tRCD
-        bank_stats.row_conflicts += 1
-        bank_stats.precharges += 1
-        bank_stats.activations += 1
-        stats.row_conflicts += 1
-        bank.open_row = row
-        self.open_rows[bank_id] = row
-
-    cas_latency = timing.tCWL if is_write else timing.tCL
-    data_start = column_ready + cas_latency
-    bus_free_at = self.bus_free_at
-    if data_start < bus_free_at:
-        data_start = bus_free_at
-    data_end = data_start + timing.tBL
-
-    # The bank remains busy until the burst completes (plus write
-    # recovery for writes), which also enforces a minimal tRAS-like
-    # occupancy for back-to-back accesses to the same bank.
-    bank_busy_until = data_end + (timing.tWR if is_write else 0)
-    if bank_busy_until > bank.ready_at:
-        bank.ready_at = bank_busy_until
-    self.bus_free_at = data_end
-
-    if is_write:
-        stats.write_accesses += 1
-        bank_stats.writes += 1
-    else:
-        stats.read_accesses += 1
-        bank_stats.reads += 1
-    stats.busy_cycles += data_end - max(now, min(column_ready, data_start))
-
-    return data_end, category
-
-
 class Channel:
     """One DRAM channel: a set of banks sharing a data bus."""
 
@@ -157,9 +74,82 @@ class Channel:
 
     # -- regular accesses ---------------------------------------------------------
 
-    # The column-access state machine: the module-level codegen unit
-    # (see its docstring for the contract).
-    service_access = channel_service_access
+    def service_access(
+        self,
+        bank_id: int,
+        row: int,
+        now: int,
+        is_write: bool = False,
+    ) -> tuple[int, AccessCategory]:
+        """Service one column access and return its data completion cycle.
+
+        The completion cycle is when the last beat of the data burst leaves
+        (read) or arrives at (write) the channel.  Bank preparation of
+        different banks may overlap; bursts serialise on the data bus.
+        """
+        banks = self.banks
+        if not 0 <= bank_id < len(banks):
+            raise ValueError(f"bank_id {bank_id} out of range for channel {self.channel_id}")
+        bank = banks[bank_id]
+        timing = self.timing
+        stats = self.stats
+        bank_stats = bank.stats
+
+        # The bank state machine of :meth:`Bank.access` is applied inline
+        # here (classification, preparation latency, counters, open-row
+        # update, busy-until) — this per-access path is the hottest DRAM
+        # code in dense simulations and the method/enum indirections cost
+        # more than the logic.  Keep the two in sync.
+        ready = bank.ready_at
+        start = now if now >= ready else ready
+        open_row = bank.open_row
+        if open_row == row:
+            category = AccessCategory.ROW_HIT
+            column_ready = start
+            bank_stats.row_hits += 1
+            stats.row_hits += 1
+        elif open_row is None:
+            category = AccessCategory.ROW_CLOSED
+            column_ready = start + timing.tRCD
+            bank_stats.row_closed += 1
+            bank_stats.activations += 1
+            stats.row_closed += 1
+            bank.open_row = row
+            self.open_rows[bank_id] = row
+        else:
+            category = AccessCategory.ROW_CONFLICT
+            column_ready = start + timing.tRP + timing.tRCD
+            bank_stats.row_conflicts += 1
+            bank_stats.precharges += 1
+            bank_stats.activations += 1
+            stats.row_conflicts += 1
+            bank.open_row = row
+            self.open_rows[bank_id] = row
+
+        cas_latency = timing.tCWL if is_write else timing.tCL
+        data_start = column_ready + cas_latency
+        bus_free_at = self.bus_free_at
+        if data_start < bus_free_at:
+            data_start = bus_free_at
+        data_end = data_start + timing.tBL
+
+        # The bank remains busy until the burst completes (plus write
+        # recovery for writes), which also enforces a minimal tRAS-like
+        # occupancy for back-to-back accesses to the same bank.
+        bank_busy_until = data_end + (timing.tWR if is_write else 0)
+        if bank_busy_until > bank.ready_at:
+            bank.ready_at = bank_busy_until
+        self.bus_free_at = data_end
+
+        if is_write:
+            stats.write_accesses += 1
+            bank_stats.writes += 1
+        else:
+            stats.read_accesses += 1
+            bank_stats.reads += 1
+        stats.busy_cycles += data_end - max(now, min(column_ready, data_start))
+
+        return data_end, category
 
     # -- RNG occupancy ------------------------------------------------------------
 

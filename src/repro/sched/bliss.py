@@ -28,53 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..controller.memory_controller import ChannelController
 
 
-def bliss_select_index(
-    self,
-    queue: RequestQueue,
-    controller: "ChannelController",
-    now: int,
-) -> int:
-    """BLISS scan: non-blacklisted first, then row hits, then oldest.
-
-    A module-level codegen unit (see :mod:`repro.sim.codegen`): the
-    class executes it as its ``select_index`` method and the compiled
-    engine inlines the same source into its serve loop.
-    """
-    best_index = -1
-    best_key = None
-    blacklist = self.blacklist
-    open_rows = controller.channel.open_rows
-    rows = queue._rows
-    qbanks = queue._banks
-    for index, request in enumerate(queue._entries):
-        bank = qbanks[index]
-        if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
-            bank = queue.repair_slot(index, controller)
-        row_hit = bank >= 0 and open_rows[bank] == rows[index]
-        key = (
-            0 if request.core_id not in blacklist else 1,
-            0 if row_hit else 1,
-            request.arrival_cycle,
-            request.request_id,
-        )
-        if best_key is None or key < best_key:
-            best_index, best_key = index, key
-    return best_index
-
-
-def bliss_notify_served(self, request: Request, now: int) -> None:
-    """Consecutive-service accounting feeding the blacklist (codegen unit)."""
-    core = request.core_id
-    if core == self._last_served_core:
-        self._consecutive_served += 1
-    else:
-        self._last_served_core = core
-        self._consecutive_served = 1
-    if self._consecutive_served >= self.blacklisting_threshold and core not in self.blacklist:
-        self.blacklist.add(core)
-        self.blacklist_events += 1
-
-
 class BLISS(MemoryScheduler):
     """Blacklisting memory scheduler."""
 
@@ -97,7 +50,32 @@ class BLISS(MemoryScheduler):
 
     # -- scheduling ---------------------------------------------------------------
 
-    select_index = bliss_select_index
+    def select_index(
+        self,
+        queue: RequestQueue,
+        controller: "ChannelController",
+        now: int,
+    ) -> int:
+        best_index = -1
+        best_key = None
+        blacklist = self.blacklist
+        open_rows = controller.channel.open_rows
+        rows = queue._rows
+        qbanks = queue._banks
+        for index, request in enumerate(queue._entries):
+            bank = qbanks[index]
+            if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
+                bank = queue.repair_slot(index, controller)
+            row_hit = bank >= 0 and open_rows[bank] == rows[index]
+            key = (
+                0 if request.core_id not in blacklist else 1,
+                0 if row_hit else 1,
+                request.arrival_cycle,
+                request.request_id,
+            )
+            if best_key is None or key < best_key:
+                best_index, best_key = index, key
+        return best_index
 
     def select(
         self,
@@ -110,7 +88,16 @@ class BLISS(MemoryScheduler):
 
     # -- bookkeeping --------------------------------------------------------------
 
-    notify_served = bliss_notify_served
+    def notify_served(self, request: Request, now: int) -> None:
+        core = request.core_id
+        if core == self._last_served_core:
+            self._consecutive_served += 1
+        else:
+            self._last_served_core = core
+            self._consecutive_served = 1
+        if self._consecutive_served >= self.blacklisting_threshold and core not in self.blacklist:
+            self.blacklist.add(core)
+            self.blacklist_events += 1
 
     def tick(self, now: int) -> None:
         if now - self._last_clear_cycle >= self.clearing_interval:

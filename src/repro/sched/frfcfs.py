@@ -5,12 +5,6 @@ request.  ``FRFCFSCap`` additionally caps the number of *consecutive* row
 hits that may be served from the same row (a "column cap" of 16 in the
 paper's baseline, following Mutlu & Moscibroda's STFM paper), which bounds
 how long a high-row-locality application can monopolise a bank.
-
-The hot scan/bookkeeping bodies are module-level *codegen units*
-(:func:`frfcfs_select_index`, :func:`frfcfs_cap_select_index`,
-:func:`frfcfs_cap_notify_served`): the classes execute them directly as
-methods, and :mod:`repro.sim.codegen` inlines the same source into the
-compiled engine's serve loop — one source of truth, rendered two ways.
 """
 
 from __future__ import annotations
@@ -25,77 +19,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..controller.memory_controller import ChannelController
 
 
-def frfcfs_select_index(
-    self,
-    queue: RequestQueue,
-    controller: "ChannelController",
-    now: int,
-) -> int:
-    """FR-FCFS scan: the first (oldest) row hit wins, else the oldest.
-
-    Iterates the queue's preextracted slot arrays (flat bank id and row
-    per entry, see :class:`RequestQueue`) instead of touching request
-    objects: one integer compare per queued entry, with the request
-    object only materialised for the winner.
-    """
-    if not queue._entries:
-        return -1
-    open_rows = controller.channel.open_rows
-    rows = queue._rows
-    for index, bank in enumerate(queue._banks):
-        if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
-            bank = queue.repair_slot(index, controller)
-        if bank >= 0 and open_rows[bank] == rows[index]:
-            # First (oldest) row hit wins; nothing later can
-            # change the outcome.
-            return index
-    return 0
-
-
-def frfcfs_cap_select_index(
-    self,
-    queue: RequestQueue,
-    controller: "ChannelController",
-    now: int,
-) -> int:
-    """FR-FCFS scan with the consecutive-row-hit cap applied."""
-    if not queue._entries:
-        return -1
-    open_rows = controller.channel.open_rows
-    rows = queue._rows
-    capped_key = self._streak_key if self._streak_length >= self.cap else None
-    for index, bank in enumerate(queue._banks):
-        if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
-            bank = queue.repair_slot(index, controller)
-        if bank >= 0:
-            row = rows[index]
-            if open_rows[bank] == row and (
-                capped_key is None or capped_key != (bank, row)
-            ):
-                return index
-    return 0
-
-
-def frfcfs_cap_notify_served(self, request: Request, now: int) -> None:
-    """Track the consecutive-hit streak the cap is measured against."""
-    if request.type is RequestType.RNG:
-        self._streak_key = None
-        self._streak_length = 0
-        return
-    key = (request.decoded.flat_bank, request.decoded.row) if request.decoded else None
-    if key is not None and key == self._streak_key:
-        self._streak_length += 1
-    else:
-        self._streak_key = key
-        self._streak_length = 1
-
-
 class FRFCFS(MemoryScheduler):
-    """First-ready (row hit) first, then first-come-first-serve."""
+    """First-ready (row hit) first, then first-come-first-serve.
+
+    The scan iterates the queue's preextracted slot arrays (flat bank id
+    and row per entry, see :class:`RequestQueue`) instead of touching
+    request objects: one integer compare per queued entry, with the
+    request object only materialised for the winner.
+    """
 
     name = "fr-fcfs"
 
-    select_index = frfcfs_select_index
+    def select_index(
+        self,
+        queue: RequestQueue,
+        controller: "ChannelController",
+        now: int,
+    ) -> int:
+        if not queue._entries:
+            return -1
+        open_rows = controller.channel.open_rows
+        rows = queue._rows
+        for index, bank in enumerate(queue._banks):
+            if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
+                bank = queue.repair_slot(index, controller)
+            if bank >= 0 and open_rows[bank] == rows[index]:
+                # First (oldest) row hit wins; nothing later can
+                # change the outcome.
+                return index
+        return 0
 
     def select(
         self,
@@ -126,12 +78,39 @@ class FRFCFSCap(FRFCFS):
         self._streak_key: Optional[Tuple[int, int]] = None
         self._streak_length = 0
 
-    select_index = frfcfs_cap_select_index
+    def select_index(
+        self,
+        queue: RequestQueue,
+        controller: "ChannelController",
+        now: int,
+    ) -> int:
+        if not queue._entries:
+            return -1
+        open_rows = controller.channel.open_rows
+        rows = queue._rows
+        capped_key = self._streak_key if self._streak_length >= self.cap else None
+        for index, bank in enumerate(queue._banks):
+            if bank == -2:  # SLOT_UNDECODED: direct queue use (tests).
+                bank = queue.repair_slot(index, controller)
+            if bank >= 0:
+                row = rows[index]
+                if open_rows[bank] == row and (
+                    capped_key is None or capped_key != (bank, row)
+                ):
+                    return index
+        return 0
 
-    notify_served = frfcfs_cap_notify_served
-
-    def select_and_track(self, queue, controller, now):  # pragma: no cover - legacy alias
-        return self.select(queue, controller, now)
+    def notify_served(self, request: Request, now: int) -> None:
+        if request.type is RequestType.RNG:
+            self._streak_key = None
+            self._streak_length = 0
+            return
+        key = (request.decoded.flat_bank, request.decoded.row) if request.decoded else None
+        if key is not None and key == self._streak_key:
+            self._streak_length += 1
+        else:
+            self._streak_key = key
+            self._streak_length = 1
 
     # ``notify_served`` needs the organization to compute flat bank ids; the
     # controller injects it once at construction time via ``bind``.

@@ -10,7 +10,7 @@ from ..core.config import DRStrangeConfig
 from ..cpu.core import CoreConfig
 from ..dram.timing import DRAMOrganization, DRAMTiming
 from ..trng import DRAMTRNGModel, make_trng
-from .engine import ENGINE_REGISTRY, CompiledEngine, EventEngine, TickEngine
+from .engine import ENGINE_REGISTRY, EventEngine, TickEngine
 
 #: System design points evaluated by the paper.
 DESIGN_RNG_OBLIVIOUS = "rng-oblivious"
@@ -26,15 +26,13 @@ PRIORITY_NON_RNG_HIGH = "non-rng-high"
 
 PRIORITY_MODES = (PRIORITY_EQUAL, PRIORITY_RNG_HIGH, PRIORITY_NON_RNG_HIGH)
 
-#: Simulation engines (see :mod:`repro.sim.engine`).  Every engine produces
-#: bit-identical :class:`~repro.sim.results.SimulationResult`s: the event
-#: engine skips over cycles in which no component can change state, and the
-#: compiled engine runs source generated for the exact configuration.  The
+#: Simulation engines (see :mod:`repro.sim.engine`).  Both engines produce
+#: bit-identical :class:`~repro.sim.results.SimulationResult`s; the event
+#: engine skips over cycles in which no component can change state.  The
 #: registry in :mod:`repro.sim.engine` is the single source of truth, so
 #: config validation can never drift from what ``make_engine`` accepts.
 ENGINE_EVENT = EventEngine.name
 ENGINE_TICK = TickEngine.name
-ENGINE_COMPILED = CompiledEngine.name
 
 ENGINES = tuple(ENGINE_REGISTRY)
 

@@ -22,17 +22,6 @@ linear counters, both engines produce **bit-identical**
 results therefore stay valid and the engine choice is excluded from all
 result-cache keys (see :mod:`repro.orchestration.keys`).
 
-The third engine, :class:`CompiledEngine`, is the specialise-and-compile
-seam: at run time it renders Python source specialised to the concrete
-``SimulationConfig`` — channel/core counts constant-folded into unrolled
-loops, the chosen scheduler's ``select_index`` inlined into the serve
-loop, dead design branches dropped — then ``compile``/``exec``-utes it
-(see :mod:`repro.sim.codegen`).  The generated code is produced from the
-same module-level unit functions the interpreted engines execute
-(:func:`event_dispatch`, :func:`serve_window_end`,
-:func:`~repro.controller.memory_controller.channel_serve_batch`, the
-``sched`` unit functions): one source of truth, rendered two ways.
-
 Select the engine with ``SimulationConfig.engine`` (default ``"event"``;
 ``"tick"`` is kept as the executable reference the equivalence tests
 compare against) or ``python -m repro --engine``.
@@ -52,8 +41,7 @@ class EngineProfile:
     """Opt-in phase profiling for one engine run (``--profile-engine``).
 
     Counts where the engine's dispatch loop actually spends its
-    iterations — the attribution dataset the specialise-and-compile
-    roadmap item needs before anyone writes a code generator:
+    iterations:
 
     * ``serve_window_len`` / ``window_break`` — power-of-two histogram
       of batched-serve window lengths and the distribution of which
@@ -192,530 +180,6 @@ class TickEngine:
         return cycle
 
 
-def event_dispatch(engine, system: "System", stop_at: "int | None" = None) -> int:
-    """Advance ``system`` from its current cycle; return the final cycle.
-
-    The event engine's dispatch loop, factored to module level as the
-    primary codegen unit: :class:`EventEngine` executes it directly
-    (``run = event_dispatch``), while :mod:`repro.sim.codegen`
-    specialises its AST per config (loops over ``controller_range`` /
-    ``core_range`` unrolled to the concrete channel/core counts, the
-    profile and shared-buffer branches folded away when inactive) for
-    :class:`CompiledEngine`.  The loop bodies therefore keep every
-    per-component ``continue`` as a sole-statement guard and avoid
-    ``break`` inside component loops — the shape the unroller requires.
-
-    ``stop_at`` pauses the run at exactly that cycle (checkpointing).
-    The pause epilogue is the same as the completion epilogue: every
-    deferred quiet segment is materialised at the pause cycle, so the
-    paused system's state is bit-identical to the reference engine's
-    at that cycle and a resumed run continues exactly.  Only reaching
-    ``max_cycles`` sets ``hit_cycle_limit``.
-    """
-    controllers = system.controllers
-    processor = system.processor
-    cores = processor.cores
-    rng_subsystem = system.rng_subsystem
-    max_cycles = system.config.max_cycles
-    limit = max_cycles if stop_at is None else min(stop_at, max_cycles)
-
-    controller_range = list(enumerate(controllers))
-    core_range = list(enumerate(cores))
-    controller_bounds = [0] * len(controllers)
-    # Stall deferral: a core whose instruction window is full behind an
-    # outstanding request can neither act nor finish until a completion
-    # callback flips its head slot, so its per-cycle stall bookkeeping
-    # is deferred entirely — ``stalled_since[i]`` records the first
-    # deferred cycle, and the engine watches the head slot directly
-    # (cores are engine-intimate by design) to wake it.
-    stalled_since = [None] * len(cores)
-    # Streaming deferral: a *quiet* core (pure bubble streaming until
-    # its event bound) evolves deterministically as long as no memory
-    # tick fires a completion into its window, so instead of one
-    # ``skip_cycles`` call per cycle, the engine records the start of
-    # the quiet stretch (``quiet_since[i]``) and the core's cached
-    # absolute event bound (``core_bound_cache[i]``, ``-1`` invalid),
-    # and materialises the whole stretch in one call right before the
-    # core must tick, before any memory step (completions may change
-    # its window), or at the end of the run.
-    quiet_since = [None] * len(cores)
-    core_bound_cache = [-1] * len(cores)
-    # ``stalled_count`` mirrors the number of non-None entries so the
-    # batched-serve pre-flight's "every core is stalled" test is O(1).
-    stalled_count = 0
-    num_cores = len(cores)
-    # Floor on the cycles between issuing a read inside a serve window
-    # and its completion; windows never exceed it, so completions of
-    # reads issued inside a window always land outside it.
-    min_read_completion = controllers[0].channel.min_read_completion_distance(
-        controllers[0].config.backend_latency
-    )
-    # The shared random number buffer (if the design has one): its
-    # version counter is one of the signals that end a mixed stretch.
-    shared_buffer = system.buffer
-    # The engine reads component internals (cached bounds, deferred
-    # segment markers, window heads) to keep the hot loop free of
-    # redundant calls; every such read mirrors a documented invariant
-    # of the component's next_event_cycle / skip_cycles contract.
-    unfinished = processor._unfinished
-    profile = engine.profile
-    cycle = system.cycle
-    while True:
-        if profile is not None:
-            profile.dispatch_iterations += 1
-        while unfinished and unfinished[-1].finish_cycle is not None:
-            unfinished.pop()
-        if not unfinished:
-            # The last finish may have been *materialised for the
-            # current, not-yet-processed cycle*: the mixed-stretch
-            # re-examination closes a quiet core's stretch through
-            # ``cycle`` itself when its event bound is the next cycle
-            # (so a finish inside it reaches this check), and every
-            # other exit path leaves ``cycle`` already past the
-            # finish.  The reference engine still runs that final
-            # cycle, so the clock must advance past the last finish
-            # before the epilogue closes the deferred memory-side
-            # segments — which provably cover the gap: the stretch
-            # only materialises while the memory side is quiet past
-            # it, so the skipped cycle extends each open segment
-            # with its established classification.
-            for core in cores:
-                finish = core.finish_cycle
-                if finish is not None and finish >= cycle:
-                    cycle = finish + 1
-            break
-        if cycle >= limit:
-            if cycle >= max_cycles:
-                system.hit_cycle_limit = True
-            break
-
-        # Memory-side horizon: the earliest cycle a controller or the
-        # RNG subsystem may change state.  ``None`` = unbounded-quiet.
-        # The shared-buffer version is read once per iteration (every
-        # controller's fill decision consults the same buffer).
-        target = limit
-        memory_active = False
-        buffer_version = None if shared_buffer is None else shared_buffer.version
-        for index, controller in controller_range:
-            if controller._bound_cache_valid and (
-                buffer_version is None
-                or controller._fill_buffer is None
-                or controller._fill_buffer_version == buffer_version
-            ):
-                bound = controller._bound_cache
-            else:
-                bound = controller.next_event_cycle(cycle)
-            controller_bounds[index] = bound
-            if bound is None:
-                continue
-            if bound <= cycle:
-                memory_active = True
-            elif bound < target:
-                target = bound
-        # RNG-subsystem bound, inlined from
-        # RNGSubsystem.next_event_cycle (keep in sync): a pending
-        # retry forces normal ticking, else the deferred heap head is
-        # the earliest event.
-        if rng_subsystem._retry_queue:
-            rng_bound = cycle
-        elif rng_subsystem._deferred:
-            head = rng_subsystem._deferred[0][0]
-            rng_bound = cycle if head <= cycle else head
-        else:
-            rng_bound = None
-        if rng_bound is not None:
-            if rng_bound <= cycle:
-                memory_active = True
-            elif rng_bound < target:
-                target = rng_bound
-
-        step = cycle + 1
-        if not memory_active:
-            # Nothing on the memory side ticks this cycle: no
-            # completion can fire, so stalled cores stay stalled,
-            # quiet cores' cached bounds stay exact, and a full jump
-            # may be possible.
-            cores_active = False
-            for index, core in core_range:
-                if stalled_since[index] is not None:
-                    continue
-                bound = core_bound_cache[index]
-                if bound == -1:
-                    since = quiet_since[index]
-                    if since is not None:
-                        core.skip_cycles(since, cycle)
-                        quiet_since[index] = None
-                    bound = core.next_event_cycle(cycle)
-                    if bound is None:
-                        # Newly stalled: defer its bookkeeping from here.
-                        stalled_since[index] = cycle
-                        stalled_count += 1
-                    else:
-                        core_bound_cache[index] = bound
-                if bound is not None:
-                    if bound <= cycle:
-                        cores_active = True
-                    elif bound == step:
-                        # The core's event is next cycle: materialise the
-                        # stretch through this cycle now, so a finish
-                        # inside it is visible to the loop-top check of
-                        # the next iteration (the engine must stop at the
-                        # exact cycle the last core finishes).  The
-                        # deferral marker moves to ``step`` (an empty
-                        # stretch) so a re-examination of the same cycle
-                        # cannot account it twice.
-                        since = quiet_since[index]
-                        core.skip_cycles(cycle if since is None else since, step)
-                        quiet_since[index] = step
-                        target = step
-                    else:
-                        if bound < target:
-                            target = bound
-                        if quiet_since[index] is None:
-                            quiet_since[index] = cycle
-            if not cores_active and target > step:
-                # Full jump: quiet cores stay deferred — their
-                # stretches extend through the jump for free — except
-                # those whose event is exactly the jump target, which
-                # materialise now for the same loop-top reason.
-                for index, controller in controller_range:
-                    if controller._skip_kind is None:
-                        controller.skip_cycles(cycle, target)
-                # = RNGSubsystem.skip_cycles(cycle, target); keep in sync.
-                rng_subsystem.now = target - 1
-                for index, core in core_range:
-                    if core_bound_cache[index] == target and quiet_since[index] is not None:
-                        core.skip_cycles(quiet_since[index], target)
-                        quiet_since[index] = None
-                if profile is not None:
-                    profile.add_skip(target - cycle)
-                cycle = target
-                continue
-            # Mixed stretch with a quiet memory side: step the active
-            # cores cycle by cycle *without re-running the memory
-            # prologue*.  The memory side provably stays quiet until
-            # ``target`` unless a core's tick perturbs it, and every
-            # perturbation is observable: an enqueue invalidates that
-            # controller's bound cache, a buffer serve bumps the
-            # shared buffer version, and an RNG request grows the
-            # subsystem's deferred heap or retry queue.  The stretch
-            # breaks on the first such signal (or a finish of the
-            # watched tail core) and falls back to the full loop.
-            deferred_len = len(rng_subsystem._deferred)
-            buffer_version = -1 if shared_buffer is None else shared_buffer.version
-            stretch_start = cycle
-            while True:
-                system.cycle = system.dram.now = rng_subsystem.now = cycle
-                for index, controller in controller_range:
-                    if controller._skip_kind is None:
-                        controller.skip_cycles(cycle, step)
-                for index, core in core_range:
-                    bound = core_bound_cache[index]
-                    if bound == -1 or bound > cycle:
-                        continue
-                    since = quiet_since[index]
-                    if since is not None:
-                        core.skip_cycles(since, cycle)
-                        quiet_since[index] = None
-                    core.tick(cycle)
-                    core_bound_cache[index] = -1
-                cycle = step
-                step = cycle + 1
-                if unfinished[-1].finish_cycle is not None:
-                    break
-                if cycle >= target:
-                    break
-                if (
-                    (shared_buffer is not None and shared_buffer.version != buffer_version)
-                    or len(rng_subsystem._deferred) != deferred_len
-                    or rng_subsystem._retry_queue
-                ):
-                    break
-                dirty = False
-                for index, controller in controller_range:
-                    if not controller._bound_cache_valid:
-                        dirty = True
-                if dirty:
-                    break
-                # Re-examine the cores for the next cycle (same rules
-                # as the prologue's core pass).
-                cores_active = False
-                for index, core in core_range:
-                    if stalled_since[index] is not None:
-                        continue
-                    bound = core_bound_cache[index]
-                    if bound == -1:
-                        since = quiet_since[index]
-                        if since is not None:
-                            core.skip_cycles(since, cycle)
-                            quiet_since[index] = None
-                        bound = core.next_event_cycle(cycle)
-                        if bound is None:
-                            stalled_since[index] = cycle
-                            stalled_count += 1
-                        else:
-                            core_bound_cache[index] = bound
-                    if bound is not None:
-                        if bound <= cycle:
-                            cores_active = True
-                        elif bound == step:
-                            since = quiet_since[index]
-                            core.skip_cycles(cycle if since is None else since, step)
-                            quiet_since[index] = step
-                        elif quiet_since[index] is None:
-                            quiet_since[index] = cycle
-                if not cores_active:
-                    break
-            if profile is not None:
-                profile.mixed_step_cycles += cycle - stretch_start
-            continue
-
-        # Batched-serve fast path: with every core window-stalled and
-        # the RNG subsystem quiet, no request can arrive at any
-        # controller, so each controller's serve decisions are a pure
-        # function of its own state until an event re-couples the
-        # components.  Resolve the whole window in one engine
-        # iteration instead of one per cycle.
-        if stalled_count == num_cores and (rng_bound is None or rng_bound > cycle):
-            # Horizon: the minimum-completion ceiling, the RNG
-            # subsystem's next event, the cycle limit, and — the
-            # common binding constraint in dense workloads — the
-            # earliest *waking* completion: a stalled core's window
-            # head re-activates it the cycle it completes.  Serving
-            # controllers' own future serve points are deliberately
-            # *not* horizon events; serve_batch resolves them.
-            window_end = cycle + min_read_completion
-            if rng_bound is not None and rng_bound < window_end:
-                window_end = rng_bound
-            if limit < window_end:
-                window_end = limit
-            # A waking completion at cycle ``c`` does not end the
-            # window at ``c``: in the reference order the controllers
-            # tick *before* the cores, so every serve decision at
-            # ``c`` precedes the woken core's enqueues.  The window
-            # extends through ``c`` and the engine runs the woken
-            # cores' ticks at ``c`` itself below — saving the whole
-            # per-cycle dispatch the wake would otherwise cost.
-            # (A stalled core's window head is its oldest outstanding
-            # slot, ``_undone_fifo[0]``.)
-            for core in cores:
-                ready = core._undone_fifo[0].ready_at
-                if ready is not None and ready < window_end:
-                    window_end = ready + 1
-            if window_end > step:
-                window_end = serve_window_end(
-                    cycle, window_end, controller_range, controller_bounds
-                )
-            if window_end > step:
-                for index, controller in controller_range:
-                    if controller.mode is ExecutionMode.REGULAR and (
-                        controller.read_queue._entries or controller.write_queue._entries
-                    ):
-                        controller.serve_batch(cycle, window_end)
-                    elif controller._skip_kind is None:
-                        controller.skip_cycles(cycle, window_end)
-                # = RNGSubsystem.skip_cycles(cycle, window_end); keep in sync.
-                rng_subsystem.now = window_end - 1
-                engine.serve_windows += 1
-                engine.serve_window_cycles += window_end - cycle
-                if profile is not None:
-                    # Cause-of-break attribution, re-derived from the
-                    # bounds (first match wins on ties, in horizon
-                    # order): the cycle limit, the RNG subsystem's
-                    # next event, the minimum-read-latency ceiling, a
-                    # waking completion, else a serve-side event from
-                    # ``serve_window_end``.
-                    if window_end == limit:
-                        cause = "cycle_limit"
-                    elif rng_bound is not None and window_end == rng_bound:
-                        cause = "rng"
-                    elif window_end == cycle + min_read_completion:
-                        cause = "read_completion"
-                    else:
-                        cause = "serve_bound"
-                        for core in cores:
-                            ready = core._undone_fifo[0].ready_at
-                            if ready is not None and ready + 1 == window_end:
-                                cause = "wake"
-                    profile.serve_batches += 1
-                    profile.add_window(window_end - cycle, cause)
-                # Wake pass at the window's last cycle: completions
-                # fired inside the window may have flipped stalled
-                # heads; those cores tick now, exactly as the
-                # reference would after the memory side at this
-                # cycle.  Their enqueues land after every in-window
-                # serve decision, preserving arrival order.
-                wake_cycle = window_end - 1
-                system.cycle = system.dram.now = wake_cycle
-                for index, core in core_range:
-                    if stalled_since[index] is None or not core._undone_fifo[0].done:
-                        continue
-                    core.catch_up_stall(stalled_since[index], wake_cycle)
-                    stalled_since[index] = None
-                    stalled_count -= 1
-                    bound = core.next_event_cycle(wake_cycle)
-                    if bound is None:
-                        stalled_since[index] = wake_cycle
-                        stalled_count += 1
-                    elif bound <= wake_cycle:
-                        core.tick(wake_cycle)
-                    elif bound == window_end:
-                        core.skip_cycles(wake_cycle, window_end)
-                    else:
-                        core_bound_cache[index] = bound
-                        quiet_since[index] = wake_cycle
-                cycle = window_end
-                continue
-
-        # Single step with memory activity: tick the active memory
-        # components, one-cycle-skip the quiet ones (identical by the
-        # definition of quietness), then decide each core *after* the
-        # memory side has ticked — a completion fired above wakes the
-        # waiting core this very cycle, exactly as in the tick engine.
-        # Quiet cores' deferred stretches materialise first: the
-        # completions about to fire may change their windows, which
-        # would reclassify cycles that already went by.
-        system.cycle = system.dram.now = cycle
-        if profile is not None:
-            profile.single_steps += 1
-            for index, controller in controller_range:
-                bound = controller_bounds[index]
-                if bound is not None and bound <= cycle:
-                    profile.controller_ticks += 1
-        for index, core in core_range:
-            since = quiet_since[index]
-            if since is not None:
-                core.skip_cycles(since, cycle)
-                quiet_since[index] = None
-            core_bound_cache[index] = -1
-        for index, controller in controller_range:
-            bound = controller_bounds[index]
-            if bound is not None and bound <= cycle:
-                controller.tick(cycle)
-            elif controller._skip_kind is None:
-                controller.skip_cycles(cycle, step)
-        if rng_bound is not None and rng_bound <= cycle:
-            rng_subsystem.tick(cycle)
-        else:
-            rng_subsystem.now = cycle
-        for index, core in core_range:
-            since = stalled_since[index]
-            if since is not None and not core._undone_fifo[0].done:
-                # A stalled window only unblocks when a completion
-                # marks its head slot done; until then the core has
-                # no tick effects beyond the deferred stall counters.
-                continue
-            if since is not None:
-                core.catch_up_stall(since, cycle)
-                stalled_since[index] = None
-                stalled_count -= 1
-            bound = core.next_event_cycle(cycle)
-            if bound is None:
-                stalled_since[index] = cycle
-                stalled_count += 1
-            elif bound <= cycle:
-                core.tick(cycle)
-            elif bound == step:
-                # Event next cycle: materialise immediately so a
-                # finish this cycle reaches the loop-top check.
-                core.skip_cycles(cycle, step)
-            else:
-                core_bound_cache[index] = bound
-                quiet_since[index] = cycle
-        cycle = step
-
-    # Close every deferred quiet segment at the final cycle count
-    # (simulation finished or hit the cycle limit) so the statistics
-    # the result builder reads are complete.
-    system.dram.now = cycle
-    for controller in controllers:
-        controller.catch_up(cycle)
-    for index, core in enumerate(cores):
-        since = stalled_since[index]
-        if since is not None:
-            core.catch_up_stall(since, cycle)
-        since = quiet_since[index]
-        if since is not None:
-            core.skip_cycles(since, cycle)
-    return cycle
-
-
-def serve_window_end(cycle, limit, controller_range, controller_bounds):
-    """Bound a batched-serve window starting at ``cycle``, or reject it.
-
-    Called with every core window-stalled, the RNG subsystem quiet
-    past ``limit``, and ``limit`` already capped by the earliest
-    waking completion (a stalled core's window head re-activates its
-    core the cycle it completes; completions of reads that are still
-    queued land at least a full minimum read latency after they
-    issue, past any window formed now).  Returns the first cycle
-    per-cycle dispatch must resume at — ``<= cycle + 1`` rejects the
-    window.  Per controller:
-
-    * a *server* (Regular Execution Mode with queued regular work) is
-      checked for events ``serve_batch`` cannot replay: a queued
-      RNG-type request (serving it switches modes), a scheduler event
-      in the window (BLISS clearing boundary), a write-only backlog
-      whose last issue could end the busy streak mid-window, and a
-      fill-policy low-utilisation hazard at the window start (later
-      serve points observe a busy bus, see
-      :meth:`DRStrangeFillPolicy.serve_window_hazard
-      <repro.core.fill_policies.DRStrangeFillPolicy.serve_window_hazard>`);
-    * every other controller is quiet until its cached event bound
-      (RNG-mode segment end, in-flight completion, idle fill event),
-      which simply caps the window; a non-serving controller that is
-      active *now* (a completion or fill decision due this cycle)
-      rejects it.
-
-    A codegen unit like :func:`event_dispatch`: the generated engine
-    rewrites the signature to take the unrolled per-controller locals
-    directly.
-    """
-    end = limit
-    for index, controller in controller_range:
-        if controller.mode is ExecutionMode.REGULAR and (
-            controller.read_queue._entries or controller.write_queue._entries
-        ):
-            read_queue = controller.read_queue
-            if read_queue.rng_pending:
-                return 0
-            rng_queue = controller.rng_queue
-            if rng_queue is not None and rng_queue._entries:
-                return 0
-            probe = controller._scheduler_event_probe
-            if probe is not None:
-                event = probe(cycle)
-                if event is not None:
-                    if event <= cycle:
-                        return 0
-                    if event < end:
-                        end = event
-            if not read_queue._entries:
-                # Write-only backlog: no read issued inside the window
-                # pins the busy streak, so it may lapse once the last
-                # write has issued and the in-flight reads drained.
-                floor = cycle + len(controller.write_queue._entries)
-                inflight = controller._inflight
-                if inflight:
-                    last_completion = max(entry[0] for entry in inflight)
-                    if last_completion > floor:
-                        floor = last_completion
-                if floor < end:
-                    end = floor
-            fill = controller.fill_policy
-            if fill is not None and fill.serve_window_hazard(controller, cycle):
-                return 0
-        else:
-            bound = controller_bounds[index]
-            if bound is None:
-                continue
-            if bound <= cycle:
-                return 0
-            if bound < end:
-                end = bound
-    return end
-
-
 class EventEngine:
     """Cycle-skipping engine: jump straight to the next possible event.
 
@@ -748,10 +212,6 @@ class EventEngine:
       in a single call per window instead of one engine iteration per
       cycle.  ``serve_windows`` / ``serve_window_cycles`` on the engine
       instance count how often the fast path engaged.
-
-    The dispatch loop itself lives at module level (:func:`event_dispatch`,
-    with :func:`serve_window_end` bounding the batched windows) so the
-    same source serves as the codegen template for :class:`CompiledEngine`.
     """
 
     name = "event"
@@ -783,48 +243,513 @@ class EventEngine:
             out.update(self.profile.metrics())
         return out
 
-    # The interpreted rendering of the shared dispatch unit.
-    run = event_dispatch
-
-    # Backward-compatible alias for the factored-out window bound.
-    _serve_window_end = staticmethod(serve_window_end)
-
-
-class CompiledEngine(EventEngine):
-    """Config-specialised engine: run generated, constant-folded source.
-
-    At ``run`` time the engine asks :mod:`repro.sim.codegen` for a
-    dispatch function specialised to this exact configuration — the
-    same :func:`event_dispatch` / :func:`serve_window_end` /
-    ``serve_batch`` sources, with channel/core loops unrolled to
-    literal counts, design-constant branches (profiling, shared
-    buffer, fill policy, scheduler probe) folded away, and the chosen
-    scheduler's ``select_index`` / ``notify_served`` inlined into the
-    serve loop.  Specialised modules are content-addressed by the
-    folded config slice and cached in memory and on disk; results are
-    bit-identical to both interpreted engines (enforced by the
-    three-way differential fuzz harness), so cached results and
-    checkpoints remain engine-agnostic.
-
-    Everything else — counters, profiling, metrics — is inherited from
-    :class:`EventEngine`; the generated dispatch updates the same
-    instance attributes.
-    """
-
-    name = "compiled"
-    blurb = "config-specialised generated code"
-
     def run(self, system: "System", stop_at: "int | None" = None) -> int:
-        # Lazy import: the codegen machinery only loads (and costs
-        # anything) when this engine is actually selected.
-        from .codegen import specialized_dispatch
+        """Advance ``system`` from its current cycle; return the final cycle.
 
-        dispatch = specialized_dispatch(
-            system.config,
-            num_cores=len(system.processor.cores),
-            profiled=self.profile is not None,
+        ``stop_at`` pauses the run at exactly that cycle (checkpointing).
+        The pause epilogue is the same as the completion epilogue: every
+        deferred quiet segment is materialised at the pause cycle, so the
+        paused system's state is bit-identical to the reference engine's
+        at that cycle and a resumed run continues exactly.  Only reaching
+        ``max_cycles`` sets ``hit_cycle_limit``.
+        """
+        controllers = system.controllers
+        processor = system.processor
+        cores = processor.cores
+        rng_subsystem = system.rng_subsystem
+        max_cycles = system.config.max_cycles
+        limit = max_cycles if stop_at is None else min(stop_at, max_cycles)
+
+        controller_range = list(enumerate(controllers))
+        core_range = list(enumerate(cores))
+        controller_bounds = [0] * len(controllers)
+        # Stall deferral: a core whose instruction window is full behind an
+        # outstanding request can neither act nor finish until a completion
+        # callback flips its head slot, so its per-cycle stall bookkeeping
+        # is deferred entirely — ``stalled_since[i]`` records the first
+        # deferred cycle, and the engine watches the head slot directly
+        # (cores are engine-intimate by design) to wake it.
+        stalled_since = [None] * len(cores)
+        # Streaming deferral: a *quiet* core (pure bubble streaming until
+        # its event bound) evolves deterministically as long as no memory
+        # tick fires a completion into its window, so instead of one
+        # ``skip_cycles`` call per cycle, the engine records the start of
+        # the quiet stretch (``quiet_since[i]``) and the core's cached
+        # absolute event bound (``core_bound_cache[i]``, ``-1`` invalid),
+        # and materialises the whole stretch in one call right before the
+        # core must tick, before any memory step (completions may change
+        # its window), or at the end of the run.
+        quiet_since = [None] * len(cores)
+        core_bound_cache = [-1] * len(cores)
+        # ``stalled_count`` mirrors the number of non-None entries so the
+        # batched-serve pre-flight's "every core is stalled" test is O(1).
+        stalled_count = 0
+        num_cores = len(cores)
+        # Floor on the cycles between issuing a read inside a serve window
+        # and its completion; windows never exceed it, so completions of
+        # reads issued inside a window always land outside it.
+        min_read_completion = controllers[0].channel.min_read_completion_distance(
+            controllers[0].config.backend_latency
         )
-        return dispatch(self, system, stop_at)
+        # The shared random number buffer (if the design has one): its
+        # version counter is one of the signals that end a mixed stretch.
+        shared_buffer = system.buffer
+        # The engine reads component internals (cached bounds, deferred
+        # segment markers, window heads) to keep the hot loop free of
+        # redundant calls; every such read mirrors a documented invariant
+        # of the component's next_event_cycle / skip_cycles contract.
+        unfinished = processor._unfinished
+        profile = self.profile
+        cycle = system.cycle
+        while True:
+            if profile is not None:
+                profile.dispatch_iterations += 1
+            while unfinished and unfinished[-1].finish_cycle is not None:
+                unfinished.pop()
+            if not unfinished:
+                # The last finish may have been *materialised for the
+                # current, not-yet-processed cycle*: the mixed-stretch
+                # re-examination closes a quiet core's stretch through
+                # ``cycle`` itself when its event bound is the next cycle
+                # (so a finish inside it reaches this check), and every
+                # other exit path leaves ``cycle`` already past the
+                # finish.  The reference engine still runs that final
+                # cycle, so the clock must advance past the last finish
+                # before the epilogue closes the deferred memory-side
+                # segments — which provably cover the gap: the stretch
+                # only materialises while the memory side is quiet past
+                # it, so the skipped cycle extends each open segment
+                # with its established classification.
+                for core in cores:
+                    finish = core.finish_cycle
+                    if finish is not None and finish >= cycle:
+                        cycle = finish + 1
+                break
+            if cycle >= limit:
+                if cycle >= max_cycles:
+                    system.hit_cycle_limit = True
+                break
+
+            # Memory-side horizon: the earliest cycle a controller or the
+            # RNG subsystem may change state.  ``None`` = unbounded-quiet.
+            # The shared-buffer version is read once per iteration (every
+            # controller's fill decision consults the same buffer).
+            target = limit
+            memory_active = False
+            buffer_version = None if shared_buffer is None else shared_buffer.version
+            for index, controller in controller_range:
+                if controller._bound_cache_valid and (
+                    buffer_version is None
+                    or controller._fill_buffer is None
+                    or controller._fill_buffer_version == buffer_version
+                ):
+                    bound = controller._bound_cache
+                else:
+                    bound = controller.next_event_cycle(cycle)
+                controller_bounds[index] = bound
+                if bound is None:
+                    continue
+                if bound <= cycle:
+                    memory_active = True
+                elif bound < target:
+                    target = bound
+            # RNG-subsystem bound, inlined from
+            # RNGSubsystem.next_event_cycle (keep in sync): a pending
+            # retry forces normal ticking, else the deferred heap head is
+            # the earliest event.
+            if rng_subsystem._retry_queue:
+                rng_bound = cycle
+            elif rng_subsystem._deferred:
+                head = rng_subsystem._deferred[0][0]
+                rng_bound = cycle if head <= cycle else head
+            else:
+                rng_bound = None
+            if rng_bound is not None:
+                if rng_bound <= cycle:
+                    memory_active = True
+                elif rng_bound < target:
+                    target = rng_bound
+
+            step = cycle + 1
+            if not memory_active:
+                # Nothing on the memory side ticks this cycle: no
+                # completion can fire, so stalled cores stay stalled,
+                # quiet cores' cached bounds stay exact, and a full jump
+                # may be possible.
+                cores_active = False
+                for index, core in core_range:
+                    if stalled_since[index] is not None:
+                        continue
+                    bound = core_bound_cache[index]
+                    if bound == -1:
+                        since = quiet_since[index]
+                        if since is not None:
+                            core.skip_cycles(since, cycle)
+                            quiet_since[index] = None
+                        bound = core.next_event_cycle(cycle)
+                        if bound is None:
+                            # Newly stalled: defer its bookkeeping from here.
+                            stalled_since[index] = cycle
+                            stalled_count += 1
+                            continue
+                        core_bound_cache[index] = bound
+                    if bound <= cycle:
+                        cores_active = True
+                    elif bound == step:
+                        # The core's event is next cycle: materialise the
+                        # stretch through this cycle now, so a finish
+                        # inside it is visible to the loop-top check of
+                        # the next iteration (the engine must stop at the
+                        # exact cycle the last core finishes).  The
+                        # deferral marker moves to ``step`` (an empty
+                        # stretch) so a re-examination of the same cycle
+                        # cannot account it twice.
+                        since = quiet_since[index]
+                        core.skip_cycles(cycle if since is None else since, step)
+                        quiet_since[index] = step
+                        target = step
+                    else:
+                        if bound < target:
+                            target = bound
+                        if quiet_since[index] is None:
+                            quiet_since[index] = cycle
+                if not cores_active and target > step:
+                    # Full jump: quiet cores stay deferred — their
+                    # stretches extend through the jump for free — except
+                    # those whose event is exactly the jump target, which
+                    # materialise now for the same loop-top reason.
+                    for index, controller in controller_range:
+                        if controller._skip_kind is None:
+                            controller.skip_cycles(cycle, target)
+                    # = RNGSubsystem.skip_cycles(cycle, target); keep in sync.
+                    rng_subsystem.now = target - 1
+                    for index, core in core_range:
+                        if core_bound_cache[index] == target and quiet_since[index] is not None:
+                            core.skip_cycles(quiet_since[index], target)
+                            quiet_since[index] = None
+                    if profile is not None:
+                        profile.add_skip(target - cycle)
+                    cycle = target
+                    continue
+                # Mixed stretch with a quiet memory side: step the active
+                # cores cycle by cycle *without re-running the memory
+                # prologue*.  The memory side provably stays quiet until
+                # ``target`` unless a core's tick perturbs it, and every
+                # perturbation is observable: an enqueue invalidates that
+                # controller's bound cache, a buffer serve bumps the
+                # shared buffer version, and an RNG request grows the
+                # subsystem's deferred heap or retry queue.  The stretch
+                # breaks on the first such signal (or a finish of the
+                # watched tail core) and falls back to the full loop.
+                deferred_len = len(rng_subsystem._deferred)
+                buffer_version = -1 if shared_buffer is None else shared_buffer.version
+                stretch_start = cycle
+                while True:
+                    system.cycle = system.dram.now = rng_subsystem.now = cycle
+                    for index, controller in controller_range:
+                        if controller._skip_kind is None:
+                            controller.skip_cycles(cycle, step)
+                    for index, core in core_range:
+                        bound = core_bound_cache[index]
+                        if bound == -1 or bound > cycle:
+                            continue
+                        since = quiet_since[index]
+                        if since is not None:
+                            core.skip_cycles(since, cycle)
+                            quiet_since[index] = None
+                        core.tick(cycle)
+                        core_bound_cache[index] = -1
+                    cycle = step
+                    step = cycle + 1
+                    if unfinished[-1].finish_cycle is not None:
+                        break
+                    if cycle >= target:
+                        break
+                    if (
+                        (shared_buffer is not None and shared_buffer.version != buffer_version)
+                        or len(rng_subsystem._deferred) != deferred_len
+                        or rng_subsystem._retry_queue
+                    ):
+                        break
+                    dirty = False
+                    for index, controller in controller_range:
+                        if not controller._bound_cache_valid:
+                            dirty = True
+                            break
+                    if dirty:
+                        break
+                    # Re-examine the cores for the next cycle (same rules
+                    # as the prologue's core pass).
+                    cores_active = False
+                    for index, core in core_range:
+                        if stalled_since[index] is not None:
+                            continue
+                        bound = core_bound_cache[index]
+                        if bound == -1:
+                            since = quiet_since[index]
+                            if since is not None:
+                                core.skip_cycles(since, cycle)
+                                quiet_since[index] = None
+                            bound = core.next_event_cycle(cycle)
+                            if bound is None:
+                                stalled_since[index] = cycle
+                                stalled_count += 1
+                                continue
+                            core_bound_cache[index] = bound
+                        if bound <= cycle:
+                            cores_active = True
+                        elif bound == step:
+                            since = quiet_since[index]
+                            core.skip_cycles(cycle if since is None else since, step)
+                            quiet_since[index] = step
+                        elif quiet_since[index] is None:
+                            quiet_since[index] = cycle
+                    if not cores_active:
+                        break
+                if profile is not None:
+                    profile.mixed_step_cycles += cycle - stretch_start
+                continue
+
+            # Batched-serve fast path: with every core window-stalled and
+            # the RNG subsystem quiet, no request can arrive at any
+            # controller, so each controller's serve decisions are a pure
+            # function of its own state until an event re-couples the
+            # components.  Resolve the whole window in one engine
+            # iteration instead of one per cycle.
+            if stalled_count == num_cores and (rng_bound is None or rng_bound > cycle):
+                # Horizon: the minimum-completion ceiling, the RNG
+                # subsystem's next event, the cycle limit, and — the
+                # common binding constraint in dense workloads — the
+                # earliest *waking* completion: a stalled core's window
+                # head re-activates it the cycle it completes.  Serving
+                # controllers' own future serve points are deliberately
+                # *not* horizon events; serve_batch resolves them.
+                window_end = cycle + min_read_completion
+                if rng_bound is not None and rng_bound < window_end:
+                    window_end = rng_bound
+                if limit < window_end:
+                    window_end = limit
+                # A waking completion at cycle ``c`` does not end the
+                # window at ``c``: in the reference order the controllers
+                # tick *before* the cores, so every serve decision at
+                # ``c`` precedes the woken core's enqueues.  The window
+                # extends through ``c`` and the engine runs the woken
+                # cores' ticks at ``c`` itself below — saving the whole
+                # per-cycle dispatch the wake would otherwise cost.
+                # (A stalled core's window head is its oldest outstanding
+                # slot, ``_undone_fifo[0]``.)
+                for core in cores:
+                    ready = core._undone_fifo[0].ready_at
+                    if ready is not None and ready < window_end:
+                        window_end = ready + 1
+                if window_end > step:
+                    window_end = self._serve_window_end(
+                        cycle, window_end, controller_range, controller_bounds
+                    )
+                if window_end > step:
+                    for index, controller in controller_range:
+                        if controller.mode is ExecutionMode.REGULAR and (
+                            controller.read_queue._entries or controller.write_queue._entries
+                        ):
+                            controller.serve_batch(cycle, window_end)
+                        elif controller._skip_kind is None:
+                            controller.skip_cycles(cycle, window_end)
+                    # = RNGSubsystem.skip_cycles(cycle, window_end); keep in sync.
+                    rng_subsystem.now = window_end - 1
+                    self.serve_windows += 1
+                    self.serve_window_cycles += window_end - cycle
+                    if profile is not None:
+                        # Cause-of-break attribution, re-derived from the
+                        # bounds (first match wins on ties, in horizon
+                        # order): the cycle limit, the RNG subsystem's
+                        # next event, the minimum-read-latency ceiling, a
+                        # waking completion, else a serve-side event from
+                        # ``_serve_window_end``.
+                        if window_end == limit:
+                            cause = "cycle_limit"
+                        elif rng_bound is not None and window_end == rng_bound:
+                            cause = "rng"
+                        elif window_end == cycle + min_read_completion:
+                            cause = "read_completion"
+                        else:
+                            cause = "serve_bound"
+                            for core in cores:
+                                ready = core._undone_fifo[0].ready_at
+                                if ready is not None and ready + 1 == window_end:
+                                    cause = "wake"
+                                    break
+                        profile.serve_batches += 1
+                        profile.add_window(window_end - cycle, cause)
+                    # Wake pass at the window's last cycle: completions
+                    # fired inside the window may have flipped stalled
+                    # heads; those cores tick now, exactly as the
+                    # reference would after the memory side at this
+                    # cycle.  Their enqueues land after every in-window
+                    # serve decision, preserving arrival order.
+                    wake_cycle = window_end - 1
+                    system.cycle = system.dram.now = wake_cycle
+                    for index, core in core_range:
+                        if stalled_since[index] is None or not core._undone_fifo[0].done:
+                            continue
+                        core.catch_up_stall(stalled_since[index], wake_cycle)
+                        stalled_since[index] = None
+                        stalled_count -= 1
+                        bound = core.next_event_cycle(wake_cycle)
+                        if bound is None:
+                            stalled_since[index] = wake_cycle
+                            stalled_count += 1
+                        elif bound <= wake_cycle:
+                            core.tick(wake_cycle)
+                        elif bound == window_end:
+                            core.skip_cycles(wake_cycle, window_end)
+                        else:
+                            core_bound_cache[index] = bound
+                            quiet_since[index] = wake_cycle
+                    cycle = window_end
+                    continue
+
+            # Single step with memory activity: tick the active memory
+            # components, one-cycle-skip the quiet ones (identical by the
+            # definition of quietness), then decide each core *after* the
+            # memory side has ticked — a completion fired above wakes the
+            # waiting core this very cycle, exactly as in the tick engine.
+            # Quiet cores' deferred stretches materialise first: the
+            # completions about to fire may change their windows, which
+            # would reclassify cycles that already went by.
+            system.cycle = system.dram.now = cycle
+            if profile is not None:
+                profile.single_steps += 1
+                for index, controller in controller_range:
+                    bound = controller_bounds[index]
+                    if bound is not None and bound <= cycle:
+                        profile.controller_ticks += 1
+            for index, core in core_range:
+                since = quiet_since[index]
+                if since is not None:
+                    core.skip_cycles(since, cycle)
+                    quiet_since[index] = None
+                core_bound_cache[index] = -1
+            for index, controller in controller_range:
+                bound = controller_bounds[index]
+                if bound is not None and bound <= cycle:
+                    controller.tick(cycle)
+                elif controller._skip_kind is None:
+                    controller.skip_cycles(cycle, step)
+            if rng_bound is not None and rng_bound <= cycle:
+                rng_subsystem.tick(cycle)
+            else:
+                rng_subsystem.now = cycle
+            for index, core in core_range:
+                since = stalled_since[index]
+                if since is not None:
+                    # A stalled window only unblocks when a completion
+                    # marks its head slot done; until then the core has
+                    # no tick effects beyond the deferred stall counters.
+                    if not core._undone_fifo[0].done:
+                        continue
+                    core.catch_up_stall(since, cycle)
+                    stalled_since[index] = None
+                    stalled_count -= 1
+                bound = core.next_event_cycle(cycle)
+                if bound is None:
+                    stalled_since[index] = cycle
+                    stalled_count += 1
+                elif bound <= cycle:
+                    core.tick(cycle)
+                elif bound == step:
+                    # Event next cycle: materialise immediately so a
+                    # finish this cycle reaches the loop-top check.
+                    core.skip_cycles(cycle, step)
+                else:
+                    core_bound_cache[index] = bound
+                    quiet_since[index] = cycle
+            cycle = step
+
+        # Close every deferred quiet segment at the final cycle count
+        # (simulation finished or hit the cycle limit) so the statistics
+        # the result builder reads are complete.
+        system.dram.now = cycle
+        for controller in controllers:
+            controller.catch_up(cycle)
+        for index, core in enumerate(cores):
+            since = stalled_since[index]
+            if since is not None:
+                core.catch_up_stall(since, cycle)
+            since = quiet_since[index]
+            if since is not None:
+                core.skip_cycles(since, cycle)
+        return cycle
+
+    def _serve_window_end(self, cycle, limit, controller_range, controller_bounds):
+        """Bound a batched-serve window starting at ``cycle``, or reject it.
+
+        Called with every core window-stalled, the RNG subsystem quiet
+        past ``limit``, and ``limit`` already capped by the earliest
+        waking completion (a stalled core's window head re-activates its
+        core the cycle it completes; completions of reads that are still
+        queued land at least a full minimum read latency after they
+        issue, past any window formed now).  Returns the first cycle
+        per-cycle dispatch must resume at — ``<= cycle + 1`` rejects the
+        window.  Per controller:
+
+        * a *server* (Regular Execution Mode with queued regular work) is
+          checked for events ``serve_batch`` cannot replay: a queued
+          RNG-type request (serving it switches modes), a scheduler event
+          in the window (BLISS clearing boundary), a write-only backlog
+          whose last issue could end the busy streak mid-window, and a
+          fill-policy low-utilisation hazard at the window start (later
+          serve points observe a busy bus, see
+          :meth:`DRStrangeFillPolicy.serve_window_hazard
+          <repro.core.fill_policies.DRStrangeFillPolicy.serve_window_hazard>`);
+        * every other controller is quiet until its cached event bound
+          (RNG-mode segment end, in-flight completion, idle fill event),
+          which simply caps the window; a non-serving controller that is
+          active *now* (a completion or fill decision due this cycle)
+          rejects it.
+        """
+        end = limit
+        for index, controller in controller_range:
+            if controller.mode is ExecutionMode.REGULAR and (
+                controller.read_queue._entries or controller.write_queue._entries
+            ):
+                read_queue = controller.read_queue
+                if read_queue.rng_pending:
+                    return 0
+                rng_queue = controller.rng_queue
+                if rng_queue is not None and rng_queue._entries:
+                    return 0
+                probe = controller._scheduler_event_probe
+                if probe is not None:
+                    event = probe(cycle)
+                    if event is not None:
+                        if event <= cycle:
+                            return 0
+                        if event < end:
+                            end = event
+                if not read_queue._entries:
+                    # Write-only backlog: no read issued inside the window
+                    # pins the busy streak, so it may lapse once the last
+                    # write has issued and the in-flight reads drained.
+                    floor = cycle + len(controller.write_queue._entries)
+                    inflight = controller._inflight
+                    if inflight:
+                        last_completion = max(entry[0] for entry in inflight)
+                        if last_completion > floor:
+                            floor = last_completion
+                    if floor < end:
+                        end = floor
+                fill = controller.fill_policy
+                if fill is not None and fill.serve_window_hazard(controller, cycle):
+                    return 0
+            else:
+                bound = controller_bounds[index]
+                if bound is None:
+                    continue
+                if bound <= cycle:
+                    return 0
+                if bound < end:
+                    end = bound
+        return end
 
 
 #: Engine registry, keyed by ``SimulationConfig.engine``.  The single
@@ -834,7 +759,6 @@ class CompiledEngine(EventEngine):
 ENGINE_REGISTRY = {
     EventEngine.name: EventEngine,
     TickEngine.name: TickEngine,
-    CompiledEngine.name: CompiledEngine,
 }
 
 

@@ -213,15 +213,4 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
         f"leases   {_counter('lease_grants')} granted, "
         f"{_counter('lease_expired')} expired, {_counter('retries')} retried"
     )
-
-    # Generated-source cache traffic, present whenever some tenant or
-    # worker selected the compiled engine (the counters travel in the
-    # worker metric snapshots merged into the payload).
-    if any(name.startswith("codegen.") for name in counters):
-        lines.append(
-            f"codegen  {counters.get('codegen.emits', 0)} emitted, "
-            f"{counters.get('codegen.disk_hits', 0)} disk hits, "
-            f"{counters.get('codegen.memory_hits', 0)} memory hits, "
-            f"{counters.get('codegen.corrupt', 0)} corrupt"
-        )
     return "\n".join(lines)

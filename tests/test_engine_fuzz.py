@@ -1,4 +1,4 @@
-"""Differential fuzzing of the tick, event and compiled simulation engines.
+"""Differential fuzzing of the tick and event simulation engines.
 
 The structured equivalence suite (:mod:`tests.test_engine_equivalence`)
 pins the known-interesting corners; this harness defends the corners
@@ -7,36 +7,31 @@ core counts, memory intensities, RNG throughputs, schedulers, predictors,
 buffer sizes, queue capacities, channel topologies, issue lookaheads,
 cycle limits — and for every generated system asserts that
 
-* the reference :class:`~repro.sim.engine.TickEngine`, the
+* the reference :class:`~repro.sim.engine.TickEngine` and the
   cycle-skipping :class:`~repro.sim.engine.EventEngine` (including its
-  batched-serve fast path) and the config-specialised
-  :class:`~repro.sim.engine.CompiledEngine` (source generated and
-  compiled per case by :mod:`repro.sim.codegen`) produce
-  **bit-identical** :class:`~repro.sim.results.SimulationResult`s, and
+  batched-serve fast path) produce **bit-identical**
+  :class:`~repro.sim.results.SimulationResult`s, and
 * the content-addressed cache key of the simulation point is stable:
-  identical across all three engines (the key deliberately excludes the
-  engine) and across recomputation, with a periodic store round-trip
-  proving a cached result deserialises bit-identically, and
+  identical across engines (the key deliberately excludes the engine) and
+  across recomputation, with a periodic store round-trip proving a cached
+  result deserialises bit-identically, and
 * **checkpoint/restore is invisible**: pausing each engine at a
   case-chosen random cycle, snapshotting the kernel
   (:mod:`repro.sim.checkpoint`), restoring from the bytes and finishing
   produces results bit-identical to the uninterrupted run — and the
-  snapshot's content digest is stable across a restore.  The compiled
-  engine additionally proves *cross-engine* resumability: snapshot under
-  ``compiled``, resume under ``tick``, byte-identical.  A slice of the
-  cases round-trips the snapshot through an on-disk
+  snapshot's content digest is stable across a restore.  Every case
+  also proves *cross-engine* resumability: snapshot under ``event``,
+  resume under ``tick``, byte-identical.  A slice of the cases
+  round-trips the snapshot through an on-disk
   :class:`~repro.orchestration.cache.CheckpointStore` in a per-case
   directory (isolated so no state leaks between cases).
 
 On failure the harness *shrinks* the case: it greedily applies
 simplifying transformations (drop a core, halve the instruction count,
 fall back to the default scheduler/predictor/design/topology, drop the
-checkpoint axis, drop the compiled-engine axis — a failure that
-survives without ``compiled`` is an interpreter bug, one that does not
-is a codegen bug…) while the failure reproduces, and reports the
-minimal case as a parameter dict plus the checkpoint cycle it paused
-at.  Paste that dict into :func:`run_case` to replay it under a
-debugger.
+checkpoint axis…) while the failure reproduces, and reports the minimal
+case as a parameter dict plus the checkpoint cycle it paused at.
+Paste that dict into :func:`run_case` to replay it under a debugger.
 
 Knobs (environment variables):
 
@@ -65,7 +60,7 @@ from repro.dram.timing import DRAMOrganization
 from repro.orchestration.cache import CheckpointStore, ResultCache
 from repro.orchestration.keys import point_key
 from repro.sim import checkpoint
-from repro.sim.config import ENGINE_COMPILED, ENGINE_EVENT, ENGINE_TICK, SimulationConfig
+from repro.sim.config import ENGINE_EVENT, ENGINE_TICK, SimulationConfig
 from repro.sim.system import System
 from repro.workloads.rng_benchmark import generate_rng_trace
 from repro.workloads.spec import ApplicationSpec, RNGBenchmarkSpec
@@ -290,10 +285,6 @@ def check_case(
     traces, config = materialize(case)
     tick_config = dataclasses.replace(config, engine=ENGINE_TICK)
     event_config = dataclasses.replace(config, engine=ENGINE_EVENT)
-    compiled_config = dataclasses.replace(config, engine=ENGINE_COMPILED)
-    # The shrinker drops this axis to tell apart an interpreter bug
-    # (still fails) from a codegen bug (stops failing).
-    run_compiled = case.get("compiled", True)
 
     if case.get("text_roundtrip"):
         # The round-tripped traces must precompile to the same columns as
@@ -312,8 +303,6 @@ def check_case(
     key_event = point_key(traces, event_config)
     if key_tick != key_event:
         return "cache key differs between engines (engine leaked into the fingerprint)"
-    if key_tick != point_key(traces, compiled_config):
-        return "cache key differs under the compiled engine (engine leaked into the fingerprint)"
     if key_tick != point_key(traces, tick_config):
         return "cache key is not stable across recomputation"
 
@@ -324,13 +313,6 @@ def check_case(
             return f"engines diverge in {field_name!r}"
     if event != tick:
         return "engines diverge"
-    if run_compiled:
-        compiled = dataclasses.asdict(System(list(traces), compiled_config).run())
-        for field_name, tick_value in tick.items():
-            if compiled[field_name] != tick_value:
-                return f"compiled engine diverges from tick in {field_name!r}"
-        if compiled != tick:
-            return "compiled engine diverges from tick"
 
     fraction = case.get("checkpoint_fraction")
     if fraction is not None:
@@ -338,10 +320,10 @@ def check_case(
         # snapshot, restore, finish — must be bit-identical to the
         # straight run, and the snapshot digest must survive a restore.
         stop_at = max(1, int(tick["total_cycles"] * fraction))
-        engine_axes = [(ENGINE_TICK, tick_config), (ENGINE_EVENT, event_config)]
-        if run_compiled:
-            engine_axes.append((ENGINE_COMPILED, compiled_config))
-        for engine_name, engine_config in engine_axes:
+        for engine_name, engine_config in (
+            (ENGINE_TICK, tick_config),
+            (ENGINE_EVENT, event_config),
+        ):
             paused = System(list(traces), engine_config)
             paused.advance(stop_at=stop_at)
             if checkpoint_dir is not None:
@@ -371,21 +353,20 @@ def check_case(
                     "diverges from the uninterrupted run"
                 )
 
-        if run_compiled:
-            # Cross-engine resumability: a snapshot taken under the
-            # compiled engine must finish bit-identically under the
-            # reference engine (checkpoints are engine-agnostic).
-            paused = System(list(traces), compiled_config)
-            paused.advance(stop_at=stop_at)
-            data = checkpoint.snapshot(paused)
-            resumed = checkpoint.restore(data, traces=list(traces), config=tick_config)
-            while not resumed.advance():
-                pass
-            if dataclasses.asdict(resumed.finalize()) != tick:
-                return (
-                    f"snapshot under compiled at cycle {stop_at}, resumed "
-                    "under tick, diverges from the uninterrupted run"
-                )
+        # Cross-engine resumability: a snapshot taken under the event
+        # engine must finish bit-identically under the reference engine
+        # (checkpoints are engine-agnostic).
+        paused = System(list(traces), event_config)
+        paused.advance(stop_at=stop_at)
+        data = checkpoint.snapshot(paused)
+        resumed = checkpoint.restore(data, traces=list(traces), config=tick_config)
+        while not resumed.advance():
+            pass
+        if dataclasses.asdict(resumed.finalize()) != tick:
+            return (
+                f"snapshot under event at cycle {stop_at}, resumed "
+                "under tick, diverges from the uninterrupted run"
+            )
 
     if store is not None:
         # Round-trip through the persistent store: a cached result must
@@ -415,10 +396,6 @@ def _shrink_candidates(case: dict):
         yield {**case, "instructions": max(300, case["instructions"] // 2)}
     if case.get("text_roundtrip"):
         yield {**case, "text_roundtrip": False}
-    if case.get("compiled", True):
-        # Dropping the compiled axis tells apart an interpreter bug
-        # (still fails) from a codegen bug (stops failing).
-        yield {**case, "compiled": False}
     if case.get("checkpoint_fraction") is not None:
         # Dropping the axis tells apart an engine bug (still fails) from
         # a checkpoint bug (stops failing); then try the extremes.
@@ -479,9 +456,8 @@ def shrink(case: dict, failure: str) -> dict:
 
 
 def test_fuzz_tick_event_identity(tmp_path):
-    """Hundreds of random systems: tick ≡ event ≡ compiled, cache keys
-    hold, and checkpoint/restore at a random cycle is invisible in the
-    results."""
+    """Hundreds of random systems: tick ≡ event, cache keys hold, and
+    checkpoint/restore at a random cycle is invisible in the results."""
     import shutil
 
     rng = random.Random(MASTER_SEED)
@@ -529,10 +505,9 @@ def test_fuzz_generator_is_deterministic():
 
 
 def test_fuzz_case_runs_all_engines():
-    """The replay helper exercises a full case end to end, three ways."""
+    """The replay helper exercises a full case end to end under both
+    engines."""
     case = build_case(random.Random(1234), 0)
     tick = run_case(case, ENGINE_TICK)
     event = run_case(case, ENGINE_EVENT)
-    compiled = run_case(case, ENGINE_COMPILED)
     assert dataclasses.asdict(tick) == dataclasses.asdict(event)
-    assert dataclasses.asdict(tick) == dataclasses.asdict(compiled)

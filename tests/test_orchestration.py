@@ -367,6 +367,8 @@ class TestSweepRequest:
         with pytest.raises(ValueError):
             SweepRequest(experiments=("fig5",), engine="warp")
         with pytest.raises(ValueError):
+            SweepRequest(experiments=("fig5",), engine="compiled")
+        with pytest.raises(ValueError):
             SweepRequest(experiments=("fig5",), priority="urgent")
 
     def test_is_frozen(self):

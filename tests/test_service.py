@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.distributed import (
     Coordinator,
     ServiceError,
@@ -413,29 +414,24 @@ class TestTwoClientEquivalence:
                 thread.join(timeout=5)
 
     def test_tenants_on_different_engines_are_isolated(self):
-        """Tenant A on `compiled`, tenant B on `event`, one shared fleet.
+        """Tenant A on `tick`, tenant B on `event`, one shared fleet.
 
         The engine override travels inside each request and is applied
         thread-scoped end to end (planning bakes it into the unit
         configs, the workers honour it per point), so concurrent tenants
         on different engines cannot cross-contaminate — and because the
-        compiled engine is bit-identical, both exports byte-match the
-        plain serial runs.
+        engines are bit-identical, both exports byte-match the plain
+        serial runs.
         """
-        from repro.sim.codegen import cache as codegen_cache
-
         serial_fig5 = sweep_experiments(FIG5, store=InMemoryResultStore())
         serial_fig6 = sweep_experiments(FIG6, store=InMemoryResultStore())
-        compiled_fig5 = SweepRequest(
-            experiments=("fig5",), instructions=1500, engine="compiled"
-        )
+        tick_fig5 = SweepRequest(experiments=("fig5",), instructions=1500, engine="tick")
         event_fig6 = SweepRequest(experiments=("fig6",), instructions=1500, engine="event")
 
-        def resolutions() -> int:
-            counters = codegen_cache._counters
-            return counters["emits"] + counters["disk_hits"] + counters["memory_hits"]
+        def tick_runs() -> int:
+            return telemetry.snapshot()["counters"].get("sim.runs.tick", 0)
 
-        resolutions_before = resolutions()
+        tick_runs_before = tick_runs()
         store = InMemoryResultStore()
         svc = SweepService(store, **FAST)
         address = svc.start()
@@ -444,7 +440,7 @@ class TestTwoClientEquivalence:
             workers = [start_worker_thread(address, f"inproc-eng-{i}") for i in range(2)]
             with SweepClient(address, tenant="alice") as alice, \
                     SweepClient(address, tenant="bob") as bob:
-                job1 = alice.submit(compiled_fig5)
+                job1 = alice.submit(tick_fig5)
                 job2 = bob.submit(event_fig6)
                 status1 = alice.wait(job1, timeout=120)
                 status2 = bob.wait(job2, timeout=120)
@@ -455,9 +451,9 @@ class TestTwoClientEquivalence:
             svc.stop()
             for thread in workers:
                 thread.join(timeout=5)
-        # The compiled tenant really exercised the codegen seam (the
-        # in-process workers resolve modules through the shared cache).
-        assert resolutions() > resolutions_before
+        # The tick tenant's points really ran under `tick` (the
+        # in-process workers record every run in the process registry).
+        assert tick_runs() > tick_runs_before
 
     def test_second_submit_after_completion_is_all_reuse(self):
         store = InMemoryResultStore()

@@ -7,6 +7,7 @@ from repro.sim.config import (
     DESIGN_DRSTRANGE,
     DESIGN_GREEDY_IDLE,
     DESIGN_RNG_OBLIVIOUS,
+    ENGINES,
     SimulationConfig,
     baseline_config,
     drstrange_config,
@@ -35,6 +36,17 @@ class TestConstruction:
     def test_invalid_priority_mode_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(priority_mode="whatever")
+
+    def test_engines_are_event_and_tick(self):
+        from repro.__main__ import main
+
+        assert ENGINES == ("event", "tick")
+        with pytest.raises(ValueError):
+            SimulationConfig(engine="compiled")
+        # The CLI derives its --engine choices from the same registry.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig5", "--engine", "compiled", "--no-cache"])
+        assert excinfo.value.code == 2
 
     def test_drstrange_config_validation(self):
         with pytest.raises(ValueError):

@@ -571,13 +571,7 @@ class TestStatusSurface:
             "points_per_second": 0.25,
             "cache": {"hits": 3, "misses": 1},
             "figures": {"fig6": {"points": 4, "completed": 2, "eta_seconds": 8.0}},
-            "metrics": {
-                "counters": {
-                    "coordinator.lease_grants": 3,
-                    "codegen.emits": 2,
-                    "codegen.disk_hits": 1,
-                }
-            },
+            "metrics": {"counters": {"coordinator.lease_grants": 3}},
         }
         rendered = format_status(payload)
         assert "2/4 done" in rendered
@@ -585,10 +579,6 @@ class TestStatusSurface:
         assert "fig6" in rendered and "eta 8s" in rendered
         assert "w1" in rendered and "last seen 0.5s ago" in rendered
         assert "3 granted" in rendered
-        assert "codegen  2 emitted, 1 disk hits" in rendered
-        # Without codegen traffic the line stays out of the view.
-        plain = dict(payload, metrics={"counters": {"coordinator.lease_grants": 3}})
-        assert "codegen" not in format_status(plain)
 
     def test_fetch_status_raises_on_unreachable_coordinator(self):
         with socket.socket() as probe:
