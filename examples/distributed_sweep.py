@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Distributed sweep: shard a figure's simulation points across workers.
 
-Runs Figure 6 twice — once serially, once through the distributed
-executor with two self-spawned localhost worker processes — and checks
-the exports are bit-identical.  The same code drives a multi-machine
-run: bind the coordinator to a routable address and start workers on
-other machines instead of (or in addition to) the self-spawned ones:
+Runs Figure 6 twice — once serially, once through the library-only
+distributed executor (a one-shot coordinator with two self-spawned
+localhost worker processes) — and checks the exports are bit-identical.
+From the command line, a multi-machine run goes through the persistent
+sweep service instead, which serves the same workers:
 
-    # machine A (a persistent daemon; one-shot form: --executor distributed)
+    # machine A
     PYTHONPATH=src python -m repro serve --bind 0.0.0.0:9876
 
     # machines B, C, ... (any number of workers, any time)

@@ -29,9 +29,8 @@ simulations with it — is served from the cache.  Execution is selected
 with one spec, ``--target {local,process[:N],HOST:PORT}``: serial in
 this process, a local process pool, or submission to a running
 ``repro serve`` daemon; the printed tables are bit-identical to a
-serial run in every case.  The pre-service flags (``--executor``,
-``--workers``, ``--bind``, ``--connect``) keep working as deprecated
-aliases.
+serial run in every case.  The one-shot coordinator behind
+:class:`~repro.distributed.DistributedExecutor` is library API only.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .telemetry import logs as telemetry_logs
 from .orchestration import (
     ProcessPoolExecutor,
     ResultCache,
-    SerialExecutor,
     SweepRequest,
     SweepStats,
     dump_json,
@@ -62,15 +60,6 @@ from .orchestration import (
 from .sim.config import ENGINES, engine_help
 
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-
-EXECUTORS = ("serial", "process", "distributed")
-
-
-def _warn_deprecated(flag: str, replacement: str) -> None:
-    print(
-        f"warning: {flag} is deprecated; use {replacement} instead",
-        file=sys.stderr,
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,35 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="simulate independent points on N worker processes (default: 1, serial)",
-    )
-    # ------------------------------------------------------------------
-    # Deprecated execution flags, kept as working aliases of --target.
-    # `None` defaults distinguish "not given" from every meaningful value
-    # so explicit use (and only explicit use) draws the warning.
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="(deprecated; use --target) execution backend for uncached points",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "(deprecated; use --target or `repro serve --workers`) with "
-            "--executor distributed: self-spawn N localhost worker processes"
-        ),
-    )
-    parser.add_argument(
-        "--bind",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "(deprecated; use `repro serve --bind`) with --executor "
-            "distributed: coordinator listen address (default: 127.0.0.1:0)"
-        ),
     )
     parser.add_argument(
         "--cache-dir",
@@ -199,9 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "snapshot in-process simulations every CYCLES simulated cycles "
             "into <cache-dir>/checkpoints, resuming interrupted or "
             "warmup-sharing runs from the latest snapshot (results are "
-            "bit-identical either way); with a distributed executor the "
-            "self-spawned workers stream snapshots to the coordinator "
-            "instead"
+            "bit-identical either way)"
         ),
     )
     _add_verbosity_flags(parser)
@@ -225,33 +183,15 @@ def _add_verbosity_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_service_target(parser: argparse.ArgumentParser, *, required: bool = True) -> None:
-    """The ``--target HOST:PORT`` / deprecated ``--connect`` pair used by
-    every verb that talks to a running daemon."""
+def _add_service_target(parser: argparse.ArgumentParser) -> None:
+    """The ``--target HOST:PORT`` every verb that talks to a running
+    daemon (or a library-run coordinator) requires."""
     parser.add_argument(
         "--target",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
         help="address of the daemon (printed by `repro serve`)",
     )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="(deprecated alias of --target)",
-    )
-    parser.set_defaults(_target_required=required)
-
-
-def _resolve_service_target(args, parser: argparse.ArgumentParser) -> str | None:
-    if args.target is not None and args.connect is not None:
-        parser.error("--target and --connect are mutually exclusive")
-    if args.connect is not None:
-        _warn_deprecated("--connect", "--target")
-        return args.connect
-    if args.target is None and getattr(args, "_target_required", True):
-        parser.error("--target HOST:PORT is required")
-    return args.target
 
 
 def _print_experiment_list() -> None:
@@ -287,7 +227,7 @@ def _worker_main(argv: list[str]) -> int:
         action="store_true",
         help=(
             "record engine phase histograms for every point this worker "
-            "simulates (folded into the coordinator's metrics; observe-only)"
+            "simulates (folded into the server's metrics; observe-only)"
         ),
     )
     parser.add_argument(
@@ -296,8 +236,8 @@ def _worker_main(argv: list[str]) -> int:
         default=None,
         metavar="CYCLES",
         help=(
-            "stream a snapshot of the running point to the coordinator "
-            "every CYCLES simulated cycles, so if this worker is killed "
+            "stream a snapshot of the running point to the service or "
+            "coordinator every CYCLES simulated cycles, so if this worker is killed "
             "its replacement resumes from the last snapshot instead of "
             "restarting (results are bit-identical either way)"
         ),
@@ -305,7 +245,7 @@ def _worker_main(argv: list[str]) -> int:
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
-    target = _resolve_service_target(args, parser)
+    target = args.target
     if args.checkpoint_interval is not None and args.checkpoint_interval < 1:
         print("--checkpoint-interval must be at least 1 cycle", file=sys.stderr)
         return 2
@@ -506,7 +446,7 @@ def _status_main(argv: list[str]) -> int:
         "--timeout", type=float, default=5.0, metavar="SECONDS", help="connect/read timeout"
     )
     args = parser.parse_args(argv)
-    target = _resolve_service_target(args, parser)
+    target = args.target
 
     import json as json_module
 
@@ -581,7 +521,7 @@ def _watch_main(argv: list[str]) -> int:
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
-    target = _resolve_service_target(args, parser)
+    target = args.target
 
     import json as json_module
 
@@ -1096,7 +1036,7 @@ def _submit_main(argv: list[str]) -> int:
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
-    target = _resolve_service_target(args, parser)
+    target = args.target
 
     from .distributed import ServiceError, SweepClient
 
@@ -1156,7 +1096,7 @@ def _jobs_main(argv: list[str]) -> int:
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
-    target = _resolve_service_target(args, parser)
+    target = args.target
 
     import json as json_module
 
@@ -1196,67 +1136,26 @@ class _CliError(Exception):
 
 
 def _resolve_execution(args):
-    """Map ``--target`` (or the deprecated flag set) onto an execution plan.
+    """Map ``--target`` onto an execution plan.
 
     Returns ``(service_address, executor, jobs)`` — exactly one of
     ``service_address``/local fields is meaningful: a non-``None``
     address means "submit to that daemon", otherwise run locally with
     ``executor``/``jobs``.  Raises :class:`_CliError` on a bad spec.
     """
-    deprecated_used = [
-        flag for flag, value in (
-            ("--executor", args.executor),
-            ("--workers", args.workers),
-            ("--bind", args.bind),
-        ) if value is not None
-    ]
-    if args.target is not None and deprecated_used:
-        raise _CliError(
-            f"--target cannot be combined with {', '.join(deprecated_used)} "
-            "(they are deprecated aliases of it)"
-        )
-
-    if args.target is not None:
-        try:
-            target = parse_target(args.target)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-        if target.kind == "service":
-            host, port = target.address
-            return f"{host}:{port}", None, args.jobs
-        if target.kind == "process":
-            jobs = target.jobs or os.cpu_count() or 1
-            return None, ProcessPoolExecutor(jobs=jobs), jobs
-        return None, None, args.jobs  # local: plain --jobs semantics
-
-    for flag in deprecated_used:
-        _warn_deprecated(flag, "--target")
-    workers = args.workers if args.workers is not None else 0
-    if workers < 0:
-        raise _CliError("--workers must be non-negative")
-    if workers and args.executor != "distributed":
-        raise _CliError("--workers only makes sense with --executor distributed")
-    if args.jobs > 1 and args.executor in ("serial", "distributed"):
-        raise _CliError(
-            f"--jobs is a local-pool knob; it has no effect with --executor {args.executor} "
-            "(use --workers to size a distributed run)"
-        )
-    if args.executor is None:
+    if args.target is None:
         return None, None, args.jobs
-    if args.executor == "serial":
-        return None, SerialExecutor(), args.jobs
-    if args.executor == "process":
-        return None, ProcessPoolExecutor(jobs=args.jobs), args.jobs
-    from .distributed import DistributedExecutor, parse_address
-
     try:
-        host, port = parse_address(args.bind if args.bind is not None else "127.0.0.1:0")
+        target = parse_target(args.target)
     except ValueError as exc:
-        raise _CliError(f"--bind: {exc}") from exc
-    executor = DistributedExecutor(
-        host, port, spawn_workers=workers, checkpoint_interval=args.checkpoint_interval
-    )
-    return None, executor, args.jobs
+        raise _CliError(str(exc)) from exc
+    if target.kind == "service":
+        host, port = target.address
+        return f"{host}:{port}", None, args.jobs
+    if target.kind == "process":
+        jobs = target.jobs or os.cpu_count() or 1
+        return None, ProcessPoolExecutor(jobs=jobs), jobs
+    return None, None, args.jobs  # local: plain --jobs semantics
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1430,7 +1329,6 @@ def main(argv: list[str] | None = None) -> int:
                         "elapsed_seconds": stats.elapsed,
                     },
                     cache=store.stats(),
-                    workers=getattr(executor, "last_worker_snapshots", None),
                     run_id=stats.run_id,
                     points=stats.points,
                 )

@@ -1,13 +1,15 @@
-"""Distributed execution: coordinator/worker sharding of simulation points.
+"""Distributed execution: sharding simulation points across workers.
 
 This subsystem turns the orchestrator's execute phase into a cluster
-run.  A :class:`~repro.distributed.coordinator.Coordinator` serves an
-experiment's pending simulation points over a JSON-lines TCP protocol;
+run.  One point server (:class:`~repro.distributed.service.PointServer`)
+serves simulation points over a JSON-lines TCP protocol;
 :func:`~repro.distributed.worker.run_worker` processes — on the same
-machine or any machine that can reach the coordinator — lease points,
+machine or any machine that can reach the server — lease points,
 simulate them through the existing engine, and stream results back.
-The coordinator commits results to the content-addressed result store,
-so a distributed sweep replays bit-identically to a serial one.
+The server commits results to the content-addressed result store, so a
+distributed sweep replays bit-identically to a serial one.  Two
+policies sit on the one server: the persistent multi-tenant
+``repro serve`` daemon and the one-shot library coordinator.
 
 Everything is standard library only (``socket`` + ``threading`` +
 ``json``): no broker, no serialization framework, no install step on
@@ -24,12 +26,13 @@ Public surface:
 * :class:`~repro.distributed.fairness.TenantScheduler` — the
   consecutive-service/blacklist/clearing policy object.
 * :class:`~repro.distributed.executor.DistributedExecutor` — plug into
-  :func:`repro.orchestration.sweep.sweep_experiments`'s ``executor=``.
+  :func:`repro.orchestration.sweep.sweep_experiments`'s ``executor=``
+  (library only; the CLI routes through ``--target``).
 * :class:`~repro.distributed.coordinator.Coordinator` — the one-shot
-  work queue (leases, heartbeats, bounded retries, straggler re-issue).
+  FIFO policy the executor runs: one batch, ``done`` once it settles.
 * :func:`~repro.distributed.worker.run_worker` — the worker loop behind
-  ``python -m repro worker --connect HOST:PORT`` (identical against a
-  coordinator or a service).
+  ``python -m repro worker --target HOST:PORT`` (identical against a
+  coordinator or a service, checkpoint streaming included).
 * :mod:`~repro.distributed.protocol` — message framing and the unit /
   config / trace / result wire codecs.
 """

@@ -1,6 +1,7 @@
 """Distributed executor: the orchestrator's bridge to the coordinator.
 
-:class:`DistributedExecutor` plugs into
+Library API only — the CLI's remote route is ``--target HOST:PORT``
+against a ``repro serve`` daemon.  :class:`DistributedExecutor` plugs into
 :func:`repro.orchestration.sweep.execute_units` like any other
 :class:`~repro.orchestration.executors.Executor`: it starts a
 :class:`~repro.distributed.coordinator.Coordinator` over the pending

@@ -1,4 +1,5 @@
-"""Wire protocol of the coordinator/worker subsystem.
+"""Wire protocol of the point servers (coordinator and service) and
+their workers.
 
 Messages are newline-delimited JSON objects (UTF-8) over a plain TCP
 stream — trivially debuggable with ``nc`` and dependency-free.  Both
@@ -6,34 +7,38 @@ ends open or accept it through :func:`open_connection` /
 :func:`prepare_connection`, which turn Nagle's algorithm off.  Every
 message carries a ``type``:
 
-worker → coordinator
+worker → server (a coordinator or a service)
     ``hello``      introduce the worker (name, pid, protocol version)
     ``lease``      ask for one simulation point
-    ``result``     deliver a finished point (coordinator replies ``ack``)
-    ``error``      report a point that raised (coordinator replies ``ack``)
+    ``result``     deliver a finished point (the server replies ``ack``)
+    ``error``      report a point that raised (the server replies ``ack``)
     ``heartbeat``  renew the lease on the point being simulated (no reply)
     ``metrics``    periodic telemetry snapshot (no reply; only sent when
                    the welcome advertised the ``"metrics"`` feature)
     ``checkpoint`` mid-simulation snapshot of the leased point (no
                    reply; only sent when the welcome advertised the
-                   ``"checkpoint"`` feature).  The coordinator keeps the
-                   latest one per point and attaches it to any re-lease,
-                   so a killed worker loses at most one checkpoint
-                   interval of progress.
+                   ``"checkpoint"`` feature, which both servers do).
+                   The server keeps the latest one per point and
+                   attaches it to any re-lease, so a killed worker loses
+                   at most one checkpoint interval of progress.
     ``goodbye``    clean disconnect (no reply)
 
-coordinator → worker
+server → worker
     ``welcome``    accepts the hello (``features`` lists optional message
-                   kinds this coordinator understands)
+                   kinds this server understands)
     ``work``       one leased point: ``key`` plus the serialised unit,
                    plus an optional ``checkpoint`` (cycle + base64
                    snapshot) to resume from instead of restarting
     ``wait``       nothing leasable right now; retry after ``seconds``
-    ``done``       the run is complete (or failed); the worker should exit
+    ``done``       the coordinator's batch has settled, or the server is
+                   stopping; the worker should exit.  A service never
+                   runs out of work, so its workers run until their
+                   connection drops.
     ``ack``        result/error committed
+    ``error``      the message kind is unknown to this server
 
-observer → coordinator
-    ``status``     request one live status payload (the coordinator
+observer → server
+    ``status``     request one live status payload (the server
                    replies with ``type: "status"``; used by
                    ``repro status`` and the telemetry smoke tests)
     ``watch``      subscribe to the event stream (only when the welcome
@@ -88,11 +93,11 @@ from ..orchestration.sweep import SimulationUnit
 from ..sim.config import SimulationConfig
 from ..sim.results import SimulationResult
 
-#: Bumped on any incompatible message or payload change; the coordinator
+#: Bumped on any incompatible message or payload change; a server
 #: rejects workers speaking a different version during the hello.
 PROTOCOL_VERSION = 1
 
-#: Optional message kinds this build's coordinator understands,
+#: Optional message kinds this build's servers understand,
 #: advertised in every welcome (see the module docstring on feature
 #: negotiation).  ``watch`` covers the streaming subscribe/event/unwatch
 #: family; peers that never saw it advertised fall back to one-shot

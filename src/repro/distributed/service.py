@@ -1,35 +1,69 @@
-"""Sweep-as-a-service: a persistent, multi-tenant experiment daemon.
+"""The point server, and sweep-as-a-service on top of it.
 
-Where the :class:`~repro.distributed.coordinator.Coordinator` serves one
-pre-planned batch of points and exits, :class:`SweepService` runs
-forever: clients submit :class:`~repro.orchestration.request.SweepRequest`s
-over the same JSON-lines protocol (``submit``/``poll``/``cancel``/
-``jobs``, negotiated via the welcome's ``features`` like the telemetry
-messages), the service decomposes each into simulation points with the
-existing planner, and one shared worker fleet drains the points of
-*every* live job.
+:class:`PointServer` is the serving core both servers share.  It owns
+the simulation points of whatever work is live and serves them to
+workers over the JSON-lines TCP protocol
+(:mod:`repro.distributed.protocol`).  Each accepted connection gets its
+own thread; shared queue state sits behind one lock.  Completed results
+are committed straight into the result store (the content-addressed
+:class:`~repro.orchestration.cache.ResultCache` or an in-memory
+equivalent), which is what keeps a distributed run bit-identical to a
+serial one: the replay phase reads the same store either way.
 
-Three properties carry over from the one-shot pipeline by construction:
+Fault tolerance:
 
-* **Bit-identity.**  Results are committed to the same content-addressed
-  store and each job's figures are reassembled by replaying the figure
-  module through a :class:`~repro.orchestration.sweep.CacheServingBackend`
-  — the replay *is* the serial code path, so a job's data dicts are
-  byte-identical to a serial run of the same request.
+* **Leases expire.**  A leased point must be renewed by heartbeats;
+  when ``lease_timeout`` passes without one (worker wedged, network
+  partition) the lease is revoked and the point goes back to the queue.
+* **Dead connections requeue immediately.**  A worker that is killed
+  (or whose machine reboots) drops its TCP connection; every point it
+  held is requeued without waiting for the lease to time out.
+* **Retries are bounded.**  Each revocation or reported error counts an
+  attempt; a point that fails ``max_attempts`` times is marked failed
+  instead of looping forever.
+* **Checkpoints survive their workers.**  Workers running with a
+  checkpoint interval stream periodic snapshots of the leased point
+  (``checkpoint`` messages); the server keeps the newest one per point
+  and attaches it to any re-lease, so a SIGKILLed worker costs at most
+  one checkpoint interval of simulation — the replacement resumes
+  bit-identically instead of restarting.
+* **Stragglers are re-issued.**  Once the queue is empty, an idle
+  worker asking for work is handed a *duplicate* lease on the
+  longest-running point older than ``straggler_timeout``.  Simulations
+  are deterministic and the store is content-addressed, so whichever
+  copy finishes first wins and the loser's commit is a harmless
+  overwrite with identical bytes.
+
+Two policies sit on top.  The one-shot
+:class:`~repro.distributed.coordinator.Coordinator` serves one
+pre-planned batch in FIFO order and answers ``done`` once it settles.
+:class:`SweepService` runs forever: clients submit
+:class:`~repro.orchestration.request.SweepRequest`s over the same
+protocol (``submit``/``poll``/``cancel``/``jobs``, negotiated via the
+welcome's ``features`` like the telemetry messages), the service
+decomposes each into simulation points with the existing planner, and
+one shared worker fleet drains the points of *every* live job.  Each
+policy supplies four methods: which point to lease next, where a failed
+attempt is requeued, what a commit credits and what an exhausted point
+fails.
+
+The service adds to the shared core:
+
+* **Bit-identity per job.**  Each job's figures are reassembled by
+  replaying the figure module through a
+  :class:`~repro.orchestration.sweep.CacheServingBackend` — the replay
+  *is* the serial code path, so a job's data dicts are byte-identical to
+  a serial run of the same request.
 * **Cross-tenant memoisation.**  Points are registered by content key:
   a point two jobs both need is simulated once and credited to both, and
   a point already in the store (from any past tenant) is never
   re-simulated at all.
-* **Fault tolerance.**  Leases, heartbeats, bounded retries and
-  straggler re-issue are the coordinator's, unchanged — a worker that
-  dies mid-point affects which *attempt* commits, never the bytes.
-
-Fairness is the new piece: lease grants are arbitrated by the
-BLISS-inspired :class:`~repro.distributed.fairness.TenantScheduler`
-(consecutive-service streaks, blacklisting at the service quantum,
-periodic clearing), so a 43-app ``--full`` batch job cannot starve an
-interactive two-figure request — the paper's own DRAM scheduling idea,
-one level up.
+* **Fairness.**  Lease grants are arbitrated by the BLISS-inspired
+  :class:`~repro.distributed.fairness.TenantScheduler`
+  (consecutive-service streaks, blacklisting at the service quantum,
+  periodic clearing), so a 43-app ``--full`` batch job cannot starve an
+  interactive two-figure request — the paper's own DRAM scheduling idea,
+  one level up.
 """
 
 from __future__ import annotations
@@ -38,7 +72,8 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..orchestration.cache import ResultCache
@@ -58,13 +93,6 @@ from ..sim.runner import AloneRunCache, engine_override
 from ..telemetry import logs
 from ..telemetry.manifest import write_manifest
 from ..telemetry.trace import TraceJournal, read_journal, traces_dir
-from .coordinator import (
-    DEFAULT_LEASE_TIMEOUT,
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_RETRY_SECONDS,
-    DEFAULT_STRAGGLER_TIMEOUT,
-    DEFAULT_WATCH_QUEUE,
-)
 from .fairness import DEFAULT_CLEARING_INTERVAL, DEFAULT_SERVICE_QUANTUM, TenantScheduler
 from .protocol import (
     PROTOCOL_VERSION,
@@ -75,6 +103,20 @@ from .protocol import (
     result_from_wire,
     unit_to_wire,
 )
+
+#: Seconds a lease survives without a heartbeat before it is revoked.
+DEFAULT_LEASE_TIMEOUT = 15.0
+#: How many times one point may fail (revocation or error) before it is
+#: declared failed.
+DEFAULT_MAX_ATTEMPTS = 3
+#: Lease age after which an idle worker may duplicate a tail point.
+DEFAULT_STRAGGLER_TIMEOUT = 60.0
+#: Sleep the server suggests to workers when nothing is leasable.
+DEFAULT_RETRY_SECONDS = 0.5
+#: Per-watcher event queue depth.  A subscriber that falls this far
+#: behind starts losing events (delivery is best-effort by design — a
+#: wedged observer must never apply backpressure to the fleet).
+DEFAULT_WATCH_QUEUE = 4096
 
 #: Job lifecycle.  ``planning`` → ``running`` → ``finalizing`` → ``done``
 #: on the happy path; ``failed``/``cancelled`` are terminal from any
@@ -95,16 +137,13 @@ SERVICE_JOURNAL = "service.jsonl"
 
 
 class _Lease:
-    """One worker's claim on one point, attributed to the job it served."""
+    """One worker's claim on one point, attributed to the job it served
+    (``None`` for the coordinator, which has no jobs)."""
 
     __slots__ = ("connection_id", "worker", "deadline", "started", "job")
 
     def __init__(
-        self,
-        connection_id: int,
-        worker: str,
-        deadline: float,
-        started: float,
+        self, connection_id: int, worker: str, deadline: float, started: float,
         job: Optional[str],
     ) -> None:
         self.connection_id = connection_id
@@ -114,35 +153,51 @@ class _Lease:
         self.job = job
 
 
-class _ServicePoint:
-    """Queue state of one simulation point, shared by its subscriber jobs."""
+class _Point:
+    """Queue state of one simulation point."""
 
     __slots__ = (
-        "unit", "figure", "attempts", "done", "failed", "committing",
-        "leases", "jobs", "queued", "_wire",
+        "key", "unit", "figure", "attempts", "done", "failed", "committing",
+        "leases", "jobs", "queued", "checkpoint", "_wire",
     )
 
     def __init__(self, unit: SimulationUnit) -> None:
+        self.key = unit.key
         self.unit = unit
+        # Figure attribution outlives the unit payload (released on
+        # completion), so status reporting keeps working to the end.
         self.figure = getattr(unit, "figure", None)
         self.attempts = 0
         self.done = False
         self.failed: Optional[str] = None
+        #: A result for this point is being written to the store right now.
         self.committing = False
         self.leases: Dict[int, _Lease] = {}
-        #: Job ids that need this point.  Commit credits every live
-        #: subscriber, which is what makes cross-tenant sharing exact:
-        #: the point runs once, every job's ``remaining`` shrinks.
+        #: Service job ids that need this point.  Commit credits every
+        #: live subscriber, which is what makes cross-tenant sharing
+        #: exact: the point runs once, every job's ``remaining`` shrinks.
         self.jobs: Set[str] = set()
-        #: Leasable right now.  The key may sit in several jobs' queues
-        #: (each subscriber lists it); the first pop that finds ``queued``
-        #: set wins and clears it, later pops skip the stale entry.
-        self.queued = False
+        #: Leasable right now.  The key may sit in several queues (each
+        #: service subscriber lists it); the first pop that finds
+        #: ``queued`` set wins and clears it, later pops skip the stale
+        #: entry.
+        self.queued = True
+        #: Latest mid-simulation snapshot a worker streamed for this
+        #: point, kept in wire form (``{"cycle": int, "data": base64}``)
+        #: and attached to any re-lease so the next worker resumes
+        #: instead of restarting.  Dropped on completion.
+        self.checkpoint: Optional[Dict] = None
         self._wire: Optional[Dict] = None
 
     def wire(self) -> Optional[Dict]:
-        """Serialised unit, computed once, outside the service lock (see
-        :meth:`Coordinator._lease` for why)."""
+        """Serialised unit, computed once and reused for duplicate leases.
+
+        ``None`` once the payload has been released (point completed).
+        Called *outside* the server lock: serialising a large unit must
+        not stall the other connection threads.  The unit is read into a
+        local exactly once so a concurrent :meth:`release_payload` can
+        never null it between the check and the use.
+        """
         unit = self.unit
         if unit is None:
             return None
@@ -151,6 +206,734 @@ class _ServicePoint:
             wire = unit_to_wire(unit)
             self._wire = wire
         return wire
+
+    def release_payload(self) -> None:
+        """Drop the unit, its wire form and any checkpoint once the point
+        can never be leased again, so a long sweep does not hold every
+        trace twice (checkpoints are full kernel snapshots — larger)."""
+        self.unit = None
+        self._wire = None
+        self.checkpoint = None
+
+
+class PointServer:
+    """Leases simulation points to workers over TCP; the shared core of
+    :class:`~repro.distributed.coordinator.Coordinator` and
+    :class:`SweepService`.
+
+    Subclasses set :attr:`server_kind` (the counter prefix and logger
+    name), :attr:`thread_stem` and :attr:`features`, and supply the four
+    policy methods :meth:`_next_point_locked`, :meth:`_requeue_locked`,
+    :meth:`_credit_commit_locked` and :meth:`_fail_point_locked`.
+    """
+
+    server_kind = "server"
+    thread_stem = "server"
+    features: Tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        store,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        straggler_timeout: float = DEFAULT_STRAGGLER_TIMEOUT,
+        retry_seconds: float = DEFAULT_RETRY_SECONDS,
+        events: Optional[telemetry.EventBus] = None,
+    ) -> None:
+        self._store = store
+        self._requested_host = host
+        self._requested_port = port
+        self.lease_timeout = lease_timeout
+        self.max_attempts = max_attempts
+        self.straggler_timeout = straggler_timeout
+        self.retry_seconds = retry_seconds
+
+        #: The causal event stream: lease churn, commits, requeues,
+        #: worker connects — everything the streaming ``watch`` protocol
+        #: pushes and trace journals record.  A private bus (the
+        #: default) keeps co-located servers and in-process tests
+        #: isolated.
+        self.events = events if events is not None else telemetry.EventBus()
+        self._lock = threading.Lock()
+        #: Set by :meth:`stop`, and by a policy once nothing is left to
+        #: serve: idle workers are then told ``done`` and the reaper exits.
+        self._finished = threading.Event()
+        self._shutdown = threading.Event()
+        self._listener: Optional[socket.socket] = None
+        self._threads: List[threading.Thread] = []
+        self._connections: Dict[int, socket.socket] = {}
+        self._connection_seq = 0
+        #: Everyone who said hello, by connection: worker name, pid, role.
+        self._peers: Dict[int, Dict] = {}
+        self._points: Dict[str, _Point] = {}
+        # Lifetime totals: a policy may drop settled points from
+        # ``_points``, so status counts come from counters.
+        self._points_registered = 0
+        self._points_completed = 0
+        self._points_failed = 0
+
+        # --- telemetry (observe-only; nothing here feeds back into
+        # leasing decisions or the committed results) -----------------
+        self._started_monotonic = time.monotonic()
+        #: Server-side counters (lease churn, commits, retries), kept in
+        #: a private registry so fleet aggregation is explicit.
+        self._metrics = telemetry.MetricsRegistry()
+        #: Per-worker liveness/progress, keyed by worker *name* so it
+        #: survives reconnects of flaky workers.
+        self._worker_stats: Dict[str, Dict] = {}
+        #: Latest telemetry snapshot each worker reported (snapshots are
+        #: cumulative, so only the newest per worker is retained).
+        self._worker_snapshots: Dict[str, Dict] = {}
+        #: Per-figure totals for progress/ETA reporting.
+        self._figures: Dict[str, Dict[str, int]] = {}
+        self._log = logs.get_logger(self.server_kind)
+
+    def _count(self, name: str, value: int = 1) -> None:
+        self._metrics.counter(f"{self.server_kind}.{name}", value)
+
+    def _add_point_locked(self, unit: SimulationUnit) -> _Point:
+        """Register a new, leasable point.  Lock held."""
+        point = _Point(unit)
+        self._points[point.key] = point
+        self._points_registered += 1
+        bucket = self._figures.setdefault(
+            point.figure or "(unlabeled)", {"points": 0, "completed": 0}
+        )
+        bucket["points"] += 1
+        return point
+
+    # ------------------------------------------------------------- policy
+
+    def _next_point_locked(self) -> Tuple[Optional[str], Optional[_Point]]:
+        """Pop the next queued point and the job it is leased for.  Lock held."""
+        raise NotImplementedError
+
+    def _requeue_locked(self, point: _Point) -> None:
+        """List a point whose attempt failed for leasing again.  Lock held."""
+        raise NotImplementedError
+
+    def _credit_commit_locked(
+        self, point: _Point, lease_job: Optional[str], worker: Optional[str], message: Dict
+    ) -> Optional[Callable[[], None]]:
+        """Account a point ``worker`` committed under a lease granted for
+        ``lease_job``; may return a callback to run once the lock is
+        released.  Lock held."""
+        raise NotImplementedError
+
+    def _fail_point_locked(self, point: _Point, reason: str) -> None:
+        """React to a point that exhausted its attempts.  Lock held."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------- lifecycle
+
+    def start(self) -> Tuple[str, int]:
+        """Bind, start serving, and return the actual ``(host, port)``."""
+        listener = socket.create_server(
+            (self._requested_host, self._requested_port), backlog=64, reuse_port=False
+        )
+        listener.settimeout(0.2)
+        self._listener = listener
+        self._spawn(self._accept_loop, name="accept")
+        self._spawn(self._reaper_loop, name="reaper")
+        return self.address
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        if self._listener is None:
+            raise RuntimeError(f"{self.server_kind} is not started")
+        host, port = self._listener.getsockname()[:2]
+        return host, port
+
+    def stop(self) -> None:
+        """Stop accepting and serving; idempotent.
+
+        Closing the connections is what shuts the fleet down: a worker
+        whose socket drops exits its loop, so no ``done`` broadcast is
+        needed.
+        """
+        self._shutdown.set()
+        self._finished.set()
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+        with self._lock:
+            open_connections = list(self._connections.values())
+            # Complete: _spawn starts nothing once shutdown is set.
+            threads = list(self._threads)
+        for connection in open_connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in threads:
+            thread.join(timeout=2.0)
+
+    # ------------------------------------------------------------- inspection
+
+    def status_payload(self) -> Dict:
+        """The live ``status`` reply: fleet progress, per-worker liveness,
+        per-figure ETA, cache accounting, merged telemetry.
+
+        ETAs are naive linear extrapolations from the whole-run commit
+        rate — honest enough for a progress surface, deliberately not a
+        scheduling input.
+        """
+        now = time.monotonic()
+        elapsed = max(1e-9, now - self._started_monotonic)
+        with self._lock:
+            active_leases = sum(
+                len(point.leases) for point in self._points.values() if not point.done
+            )
+            pending = sum(1 for point in self._points.values() if point.queued)
+            completed = self._points_completed
+            rate = completed / elapsed
+            figures = {}
+            for label, bucket in sorted(self._figures.items()):
+                remaining = bucket["points"] - bucket["completed"]
+                figures[label] = {
+                    "points": bucket["points"],
+                    "completed": bucket["completed"],
+                    "eta_seconds": (remaining / rate) if rate > 0 and remaining else (
+                        None if remaining else 0.0
+                    ),
+                }
+            workers = {}
+            for name, stats in self._worker_stats.items():
+                last_seen = stats.get("last_seen")
+                workers[name] = {
+                    "pid": stats.get("pid"),
+                    "leases": stats.get("leases", 0),
+                    "completed": stats.get("completed", 0),
+                    "last_seen_seconds": None if last_seen is None else now - last_seen,
+                }
+            worker_snapshots = list(self._worker_snapshots.values())
+            failed = self._points_failed
+            points = self._points_registered
+        merged = telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
+        return {
+            "type": "status",
+            "protocol": PROTOCOL_VERSION,
+            "points": points,
+            "pending": pending,
+            "completed": completed,
+            "failed": failed,
+            "leases": active_leases,
+            "workers": workers,
+            "elapsed_seconds": elapsed,
+            "points_per_second": rate,
+            "cache": {
+                "hits": getattr(self._store, "hits", 0),
+                "misses": getattr(self._store, "misses", 0),
+            },
+            "figures": figures,
+            "metrics": merged,
+        }
+
+    def fleet_metrics(self) -> Dict:
+        """Server counters merged with every worker's last snapshot (for
+        run manifests and post-run aggregation)."""
+        with self._lock:
+            worker_snapshots = list(self._worker_snapshots.values())
+        return telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
+
+    def worker_snapshots(self) -> Dict[str, Dict]:
+        """The latest telemetry snapshot each worker reported, by name."""
+        with self._lock:
+            return {name: dict(snap) for name, snap in self._worker_snapshots.items()}
+
+    # ------------------------------------------------------------- serving
+
+    def _spawn(self, target, *args, name: str) -> Optional[threading.Thread]:
+        """Start a daemon thread that :meth:`stop` joins; ``None``
+        (nothing started) once shutdown has begun.
+
+        The accept loop, connection threads, watch senders and the
+        service's planners and finalizers all spawn concurrently, so
+        finished threads are pruned and the new one is recorded under
+        the lock, or an append racing the prune would be lost and never
+        joined.  The thread starts under the lock too: the prune would
+        drop it as not alive otherwise.
+        """
+        with self._lock:
+            if self._shutdown.is_set():
+                return None
+            self._threads = [thread for thread in self._threads if thread.is_alive()]
+            thread = threading.Thread(
+                target=target, args=args, daemon=True, name=f"{self.thread_stem}-{name}"
+            )
+            self._threads.append(thread)
+            thread.start()
+        return thread
+
+    def _accept_loop(self) -> None:
+        while not self._shutdown.is_set():
+            try:
+                connection = prepare_connection(self._listener.accept()[0])
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            with self._lock:
+                self._connection_seq += 1
+                connection_id = self._connection_seq
+                self._connections[connection_id] = connection
+            if not self._spawn(
+                self._serve_connection, connection, connection_id,
+                name=f"conn-{connection_id}",
+            ):
+                with self._lock:
+                    self._connections.pop(connection_id, None)
+                connection.close()
+                return
+
+    def _serve_connection(self, connection: socket.socket, connection_id: int) -> None:
+        stream = connection.makefile("rb")
+        # One send lock per connection: the request/reply path and a
+        # watch sender thread share the socket, and interleaved partial
+        # writes would corrupt the JSON-lines framing.
+        send_lock = threading.Lock()
+        watch_state: Dict = {}
+        try:
+            while True:
+                try:
+                    message = read_message(stream)
+                except ValueError:
+                    break
+                if message is None:
+                    break
+                kind = message.get("type")
+                if kind == "watch":
+                    self._start_watch(connection, send_lock, watch_state, message)
+                    continue
+                if kind == "unwatch":
+                    self._stop_watch(watch_state)
+                    with send_lock:
+                        connection.sendall(encode_message({"type": "unwatched"}))
+                    continue
+                reply = self._handle(message, connection_id)
+                if reply is _GOODBYE:
+                    break
+                if reply is not None:
+                    with send_lock:
+                        connection.sendall(encode_message(reply))
+        except OSError:
+            pass
+        finally:
+            self._stop_watch(watch_state)
+            self._release_connection(connection_id)
+            with self._lock:
+                self._connections.pop(connection_id, None)
+            try:
+                stream.close()
+                connection.close()
+            except OSError:
+                pass
+
+    # ------------------------------------------------------------- watch
+
+    def _start_watch(
+        self,
+        connection: socket.socket,
+        send_lock: threading.Lock,
+        watch_state: Dict,
+        message: Dict,
+    ) -> None:
+        """Subscribe this connection to the event stream.
+
+        The ``watching`` reply (current ``seq`` plus a status snapshot to
+        seed the view) is sent *before* the sender thread starts, so the
+        client always sees the acknowledgement first and events — replayed
+        ones included — strictly after it, in ``seq`` order.
+        """
+        if watch_state.get("queue") is not None:
+            # Already watching: re-acknowledge, keep the existing stream.
+            with send_lock:
+                connection.sendall(
+                    encode_message({"type": "watching", "seq": self.events.seq})
+                )
+            return
+        # No ``from_seq`` field means live-only; an explicit value (0
+        # included) replays buffered events with seq > from_seq first.
+        raw_from_seq = message.get("from_seq")
+        try:
+            from_seq = None if raw_from_seq is None else int(raw_from_seq)
+        except (TypeError, ValueError):
+            from_seq = None
+        status = self.status_payload()
+        subscriber = self.events.subscribe(maxsize=DEFAULT_WATCH_QUEUE, from_seq=from_seq)
+        try:
+            with send_lock:
+                connection.sendall(
+                    encode_message(
+                        {"type": "watching", "seq": self.events.seq, "status": status}
+                    )
+                )
+        except OSError:
+            self.events.unsubscribe(subscriber)
+            raise
+        watch_state["queue"] = subscriber
+        watch_state["thread"] = self._spawn(
+            self._watch_sender, connection, send_lock, subscriber, name="watch-sender"
+        )
+
+    def _watch_sender(
+        self, connection: socket.socket, send_lock: threading.Lock, subscriber
+    ) -> None:
+        while True:
+            event = subscriber.get()
+            if event is None:  # _stop_watch's sentinel
+                return
+            try:
+                with send_lock:
+                    connection.sendall(encode_message({"type": "event", "event": event}))
+            except OSError:
+                return
+
+    def _stop_watch(self, watch_state: Dict) -> None:
+        subscriber = watch_state.pop("queue", None)
+        thread = watch_state.pop("thread", None)
+        if subscriber is not None:
+            self.events.unsubscribe(subscriber)
+            subscriber.put(None)
+        if thread is not None:
+            thread.join(timeout=2.0)
+
+    # ------------------------------------------------------------- messages
+
+    def _handle(self, message: Dict, connection_id: int):
+        kind = message.get("type")
+        if kind not in ("hello", "status"):
+            self._touch_worker(connection_id)
+        if kind == "hello":
+            return self._hello(message, connection_id)
+        if kind == "lease":
+            return self._lease(connection_id)
+        if kind == "result":
+            return self._commit(message, connection_id)
+        if kind == "error":
+            self._requeue(
+                message.get("key", ""),
+                connection_id,
+                reason=str(message.get("error", "worker error")),
+            )
+            return {"type": "ack"}
+        if kind == "heartbeat":
+            self._renew(message.get("key", ""), connection_id)
+            return None
+        if kind == "checkpoint":
+            self._store_checkpoint(message, connection_id)
+            return None
+        if kind == "metrics":
+            snapshot = message.get("snapshot")
+            if isinstance(snapshot, dict):
+                with self._lock:
+                    name = self._peers.get(connection_id, {}).get("worker") or str(
+                        message.get("worker") or f"conn-{connection_id}"
+                    )
+                    self._worker_snapshots[name] = snapshot
+            return None
+        if kind == "status":
+            return self.status_payload()
+        if kind == "goodbye":
+            return _GOODBYE
+        return {"type": "error", "error": f"unknown message type {kind!r}"}
+
+    def _hello(self, message: Dict, connection_id: int) -> Dict:
+        if message.get("protocol") != PROTOCOL_VERSION:
+            return {
+                "type": "done",
+                "error": f"protocol mismatch ({self.server_kind} speaks {PROTOCOL_VERSION})",
+            }
+        name = str(message.get("worker") or f"conn-{connection_id}")
+        role = str(message.get("role") or "worker")
+        with self._lock:
+            self._peers[connection_id] = {
+                "worker": name, "pid": message.get("pid"), "role": role
+            }
+            if role == "worker":
+                stats = self._worker_stats.setdefault(
+                    name, {"pid": message.get("pid"), "completed": 0, "leases": 0}
+                )
+                stats["pid"] = message.get("pid")
+                stats["last_seen"] = time.monotonic()
+            points = len(self._points)
+        self._log.info("%s %s connected (pid %s)", role, name, message.get("pid"))
+        self.events.emit(
+            "worker.connect", worker=name, pid=message.get("pid"), role=role
+        )
+        return {
+            "type": "welcome",
+            "protocol": PROTOCOL_VERSION,
+            "points": points,
+            "features": list(self.features),
+        }
+
+    def _touch_worker(self, connection_id: int) -> None:
+        """Record liveness for the worker behind ``connection_id``."""
+        with self._lock:
+            name = self._peers.get(connection_id, {}).get("worker")
+            if name is not None and name in self._worker_stats:
+                self._worker_stats[name]["last_seen"] = time.monotonic()
+
+    def _store_checkpoint(self, message: Dict, connection_id: int) -> None:
+        """Keep the newest snapshot a worker streamed for a live point."""
+        key = str(message.get("key", ""))
+        data = message.get("data")
+        try:
+            cycle = int(message.get("cycle"))
+        except (TypeError, ValueError):
+            return
+        if not isinstance(data, str) or not data:
+            return
+        with self._lock:
+            point = self._points.get(key)
+            if point is None or point.done or point.failed is not None:
+                return
+            previous = point.checkpoint
+            if previous is not None and previous["cycle"] >= cycle:
+                return  # a straggler duplicate lagging behind the leader
+            point.checkpoint = {"cycle": cycle, "data": data}
+            worker = self._peers.get(connection_id, {}).get("worker")
+        self._count("checkpoints")
+        self.events.emit(
+            "point.checkpoint", point=key, worker=worker, figure=point.figure, cycle=cycle
+        )
+
+    # ------------------------------------------------------------- leasing
+
+    def _lease(self, connection_id: int) -> Dict:
+        while True:
+            now = time.monotonic()
+            with self._lock:
+                if self._finished.is_set():
+                    return {"type": "done"}
+                job_id, point = self._next_point_locked()
+                if point is None:
+                    point = self._straggler_candidate(connection_id, now)
+                    if point is None:
+                        return {"type": "wait", "seconds": self.retry_seconds}
+                    # Attribute the duplicate lease to any live subscriber
+                    # (reporting only); it is *not* a scheduler service —
+                    # duplicating a straggler's tail must not advance
+                    # anyone's streak.
+                    job_id = min(point.jobs, default=None)
+                worker = self._peers.get(connection_id, {}).get(
+                    "worker", f"conn-{connection_id}"
+                )
+                point.leases[connection_id] = _Lease(
+                    connection_id, worker, deadline=now + self.lease_timeout,
+                    started=now, job=job_id,
+                )
+                if worker in self._worker_stats:
+                    self._worker_stats[worker]["leases"] += 1
+                checkpoint = point.checkpoint
+            self._count("lease_grants")
+            # Serialise outside the lock: a multi-MB unit must not stall
+            # the other connection threads (or heartbeat renewal).
+            wire = point.wire()
+            if wire is not None and not point.done:
+                self.events.emit(
+                    "lease.grant", point=point.key, worker=worker, job=job_id,
+                    figure=point.figure,
+                )
+                reply = {"type": "work", "unit": wire}
+                if job_id is not None:
+                    reply["job"] = job_id
+                if checkpoint is not None:
+                    # Re-lease of a point a (possibly dead) worker already
+                    # advanced: hand over the snapshot so the new worker
+                    # resumes instead of restarting.
+                    reply["checkpoint"] = checkpoint
+                return reply
+            # The point completed while we were granting it; drop the
+            # speculative lease and pick something else.
+            with self._lock:
+                point.leases.pop(connection_id, None)
+
+    def _straggler_candidate(self, connection_id: int, now: float) -> Optional[_Point]:
+        oldest: Optional[Tuple[float, _Point]] = None
+        for point in self._points.values():
+            if point.done or point.failed is not None or point.committing:
+                continue
+            if point.queued or not point.leases or connection_id in point.leases:
+                continue
+            started = min(lease.started for lease in point.leases.values())
+            if now - started < self.straggler_timeout:
+                continue
+            if oldest is None or started < oldest[0]:
+                oldest = (started, point)
+        return None if oldest is None else oldest[1]
+
+    def _renew(self, key: str, connection_id: int) -> None:
+        now = time.monotonic()
+        with self._lock:
+            point = self._points.get(key)
+            if point is None:
+                return
+            lease = point.leases.get(connection_id)
+            if lease is not None:
+                lease.deadline = now + self.lease_timeout
+
+    # ------------------------------------------------------------- commits
+
+    def _commit(self, message: Dict, connection_id: int) -> Dict:
+        key = message.get("key", "")
+        try:
+            result = result_from_wire(message["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            self._requeue(key, connection_id, reason=f"undecodable result: {exc}")
+            return {"type": "ack"}
+        with self._lock:
+            point = self._points.get(key)
+            if point is None:
+                return {"type": "ack"}
+            lease = point.leases.pop(connection_id, None)
+            if point.done or point.committing or point.failed is not None:
+                # A straggler duplicate finished second; its (identical)
+                # result is already committed or being committed.
+                return {"type": "ack"}
+            point.committing = True
+            lease_job = lease.job if lease is not None else None
+        try:
+            # Commit outside the lock: a disk write must not serialise the
+            # other connection threads.  The point is only flagged done
+            # *after* the write lands, so no policy can see it settled
+            # while a result is still in flight.
+            store_put(self._store, key, result, point.figure)
+        except BaseException:
+            with self._lock:
+                point.committing = False
+                # Count the failed commit as an attempt AND re-check
+                # settlement: a lease that died *while* the commit was in
+                # flight deferred its own settlement to the commit (see
+                # _settle_or_requeue), so the failure path must resolve
+                # the point — requeue it or declare it failed — or
+                # nothing ever would.
+                point.attempts += 1
+                self._settle_or_requeue(point, "result store commit failed")
+            raise
+        with self._lock:
+            point.committing = False
+            point.done = True
+            point.queued = False
+            point.release_payload()
+            self._points_completed += 1
+            bucket = self._figures.get(point.figure or "(unlabeled)")
+            if bucket is not None:
+                bucket["completed"] += 1
+            worker = self._peers.get(connection_id, {}).get("worker")
+            if worker in self._worker_stats:
+                self._worker_stats[worker]["completed"] += 1
+            after = self._credit_commit_locked(point, lease_job, worker, message)
+        resumed_from = message.get("resumed_from")
+        if isinstance(resumed_from, int) and resumed_from > 0:
+            self._count("points_resumed")
+        self._count("results_committed")
+        self.events.emit(
+            "point.commit", point=key, worker=worker, job=lease_job, figure=point.figure
+        )
+        if after is not None:
+            after()
+        return {"type": "ack"}
+
+    # ------------------------------------------------------------- failures
+
+    def _requeue(self, key: str, connection_id: int, reason: str) -> None:
+        with self._lock:
+            point = self._points.get(key)
+            if point is None or point.done:
+                return
+            point.leases.pop(connection_id, None)
+            self._record_attempt(point, reason)
+
+    def _record_attempt(self, point: _Point, reason: str) -> None:
+        """Count one failed attempt, then settle or requeue.  Lock held."""
+        point.attempts += 1
+        self._count("retries")
+        self._log.warning("point %s attempt failed: %s", point.key[:12], reason)
+        self._settle_or_requeue(point, reason)
+        if point.failed is not None:
+            kind = "point.fail"
+        elif point.queued:
+            kind = "point.requeue"
+        else:
+            return
+        self.events.emit(
+            kind, point=point.key, figure=point.figure, reason=reason,
+            attempts=point.attempts,
+        )
+
+    def _settle_or_requeue(self, point: _Point, reason: str) -> None:
+        """Resolve a point after an attempt was recorded.  Lock held.
+
+        A point is never declared failed — nor requeued — while another
+        worker still holds a live lease on it (straggler duplicate) or a
+        result for it is being committed: that copy may land moments
+        later, and requeueing under an in-flight commit would burn a
+        duplicate simulation of a point that is about to complete.
+        Whatever blocked the settlement re-enters here when it resolves:
+        a dying lease through its revocation, a failing commit through
+        :meth:`_commit`'s failure path — so a point can never be left
+        permanently unsettled.
+        """
+        if point.done or point.failed is not None:
+            return
+        if point.leases or point.committing:
+            return
+        if point.attempts >= self.max_attempts:
+            point.failed = reason
+            point.queued = False
+            self._points_failed += 1
+            self._count("points_failed")
+            self._fail_point_locked(point, reason)
+        elif not point.queued:
+            point.queued = True
+            self._requeue_locked(point)
+
+    def _release_connection(self, connection_id: int) -> None:
+        """A connection died: requeue everything it still holds."""
+        with self._lock:
+            info = self._peers.pop(connection_id, None)
+        if info is not None:
+            self._log.info("%s %s disconnected", info.get("role", "peer"), info.get("worker"))
+            self.events.emit("worker.disconnect", worker=info.get("worker"))
+        with self._lock:
+            for point in list(self._points.values()):
+                if connection_id in point.leases and not point.done:
+                    point.leases.pop(connection_id)
+                    if not point.leases:
+                        self._record_attempt(point, "worker connection lost")
+
+    def _reaper_loop(self) -> None:
+        interval = min(1.0, max(0.05, self.lease_timeout / 4))
+        # Block *on the finished event*, not in a plain sleep: the thread
+        # then exits the moment the server has nothing left to serve (or
+        # ``stop`` is called), instead of holding the process — and the
+        # listener port — for up to a full interval afterwards.
+        while not self._finished.wait(interval):
+            now = time.monotonic()
+            with self._lock:
+                for point in list(self._points.values()):
+                    if point.done or point.failed is not None:
+                        continue
+                    expired = [
+                        lease_id
+                        for lease_id, lease in point.leases.items()
+                        if lease.deadline < now
+                    ]
+                    for lease_id in expired:
+                        lease = point.leases.pop(lease_id)
+                        self._count("lease_expired")
+                        self.events.emit(
+                            "lease.expire", point=point.key, worker=lease.worker,
+                            job=lease.job, figure=point.figure,
+                        )
+                        self._record_attempt(point, "lease expired (missed heartbeats)")
 
 
 class _Job:
@@ -208,8 +991,16 @@ class _Job:
         return body
 
 
-class SweepService:
-    """A long-lived daemon multiplexing many sweeps over one worker fleet."""
+class SweepService(PointServer):
+    """A long-lived daemon multiplexing many sweeps over one worker fleet.
+
+    Settled points are dropped — the store answers future submits, and a
+    daemon must not hold every trace it ever planned — so its memory
+    tracks the live backlog, not its history.
+    """
+
+    server_kind = thread_stem = "service"
+    features = SERVICE_FEATURES
 
     def __init__(
         self,
@@ -224,51 +1015,24 @@ class SweepService:
         service_quantum: int = DEFAULT_SERVICE_QUANTUM,
         clearing_interval: float = DEFAULT_CLEARING_INTERVAL,
     ) -> None:
-        self._store = store
-        self._requested_host = host
-        self._requested_port = port
-        self.lease_timeout = lease_timeout
-        self.max_attempts = max_attempts
-        self.straggler_timeout = straggler_timeout
-        self.retry_seconds = retry_seconds
-
-        self._lock = threading.Lock()
-        self._shutdown = threading.Event()
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
-        self._connections: Dict[int, socket.socket] = {}
-        self._connection_seq = 0
-        self._peers: Dict[int, Dict] = {}
-
+        # The daemon keeps its private event bus (the base default):
+        # ``watch`` subscribers and the service journal hang off it.
+        super().__init__(
+            store, host, port,
+            lease_timeout=lease_timeout,
+            max_attempts=max_attempts,
+            straggler_timeout=straggler_timeout,
+            retry_seconds=retry_seconds,
+        )
         self._jobs: Dict[str, _Job] = {}
         self._job_seq = 0
-        self._points: Dict[str, _ServicePoint] = {}
         self._scheduler = TenantScheduler(
             service_quantum=service_quantum, clearing_interval=clearing_interval
         )
-        #: The daemon's private event bus: ``watch`` subscribers and the
-        #: service journal hang off it.  Private (not the process bus) so
-        #: co-located services and in-process tests never cross-talk.
-        self.events = telemetry.EventBus()
         self._scheduler.on_blacklist = self._on_blacklist
         self._scheduler.on_clear = self._on_cleared
-
-        # Lifetime totals: completed/failed points are *deleted* from
-        # ``_points`` (the store answers future submits, and a daemon
-        # must not hold every trace it ever planned), so status counts
-        # come from counters, not the live dict.
-        self._points_registered = 0
-        self._points_completed = 0
-        self._points_failed = 0
-
-        self._started_monotonic = time.monotonic()
-        self._metrics = telemetry.MetricsRegistry()
-        self._worker_stats: Dict[str, Dict] = {}
-        self._worker_snapshots: Dict[str, Dict] = {}
-        self._figures: Dict[str, Dict[str, int]] = {}
         #: Where per-job run manifests land (persistent stores only).
         self._manifest_dir = store.cache_dir if isinstance(store, ResultCache) else None
-        self._log = logs.get_logger("service")
         #: Durable event journal (persistent stores only).  Replaying it
         #: before attaching makes the jobs table survive a restart.
         self._journal: Optional[TraceJournal] = None
@@ -356,22 +1120,9 @@ class SweepService:
 
     def start(self) -> Tuple[str, int]:
         """Bind, start serving, and return the actual ``(host, port)``."""
-        listener = socket.create_server(
-            (self._requested_host, self._requested_port), backlog=64, reuse_port=False
-        )
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._spawn(self._accept_loop, name="service-accept")
-        self._spawn(self._reaper_loop, name="service-reaper")
-        self._log.info("sweep service listening on %s:%s", *self.address)
-        return self.address
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("service is not started")
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+        address = super().start()
+        self._log.info("sweep service listening on %s:%s", *address)
+        return address
 
     def serve_forever(self, poll_seconds: float = 0.5) -> None:
         """Block until :meth:`stop` (or ``KeyboardInterrupt`` upstream)."""
@@ -379,194 +1130,14 @@ class SweepService:
             pass
 
     def stop(self) -> None:
-        """Stop accepting and serving; idempotent.
-
-        Closing the connections is what shuts the fleet down: a worker
-        whose socket drops exits its loop, so no ``done`` broadcast is
-        needed.
-        """
-        self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            open_connections = list(self._connections.values())
-            # Complete: _spawn starts nothing once shutdown is set.
-            threads = list(self._threads)
-        for connection in open_connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in threads:
-            thread.join(timeout=2.0)
+        """Stop accepting and serving, then close the journal; idempotent."""
+        super().stop()
         if self._journal is not None:
             self.events.remove_sink(self._journal.write)
             self._journal.close()
 
-    # ------------------------------------------------------------- serving
-
-    def _spawn(self, target, *args, name: str) -> bool:
-        """Start a daemon thread that :meth:`stop` joins; ``False``
-        (nothing started) once shutdown has begun.
-
-        The accept loop, connection threads (planners) and commits
-        (finalizers) all spawn concurrently, so finished threads are
-        pruned and the new one is recorded under the lock, or an append
-        racing the prune would be lost and never joined.  The thread
-        starts under the lock too: the prune would drop it as not alive
-        otherwise.
-        """
-        with self._lock:
-            if self._shutdown.is_set():
-                return False
-            self._threads = [thread for thread in self._threads if thread.is_alive()]
-            thread = threading.Thread(target=target, args=args, daemon=True, name=name)
-            self._threads.append(thread)
-            thread.start()
-        return True
-
-    def _accept_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                connection = prepare_connection(self._listener.accept()[0])
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._lock:
-                self._connection_seq += 1
-                connection_id = self._connection_seq
-                self._connections[connection_id] = connection
-            if not self._spawn(
-                self._serve_connection, connection, connection_id,
-                name=f"service-conn-{connection_id}",
-            ):
-                with self._lock:
-                    self._connections.pop(connection_id, None)
-                connection.close()
-                return
-
-    def _serve_connection(self, connection: socket.socket, connection_id: int) -> None:
-        stream = connection.makefile("rb")
-        # One send lock per connection: request/reply and a watch sender
-        # thread share the socket (see Coordinator._serve_connection).
-        send_lock = threading.Lock()
-        watch_state: Dict = {}
-        try:
-            while True:
-                try:
-                    message = read_message(stream)
-                except ValueError:
-                    break
-                if message is None:
-                    break
-                kind = message.get("type")
-                if kind == "watch":
-                    self._start_watch(connection, send_lock, watch_state, message)
-                    continue
-                if kind == "unwatch":
-                    self._stop_watch(watch_state)
-                    with send_lock:
-                        connection.sendall(encode_message({"type": "unwatched"}))
-                    continue
-                reply = self._handle(message, connection_id)
-                if reply is _GOODBYE:
-                    break
-                if reply is not None:
-                    with send_lock:
-                        connection.sendall(encode_message(reply))
-        except OSError:
-            pass
-        finally:
-            self._stop_watch(watch_state)
-            self._release_connection(connection_id)
-            with self._lock:
-                self._connections.pop(connection_id, None)
-            try:
-                stream.close()
-                connection.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------- watch
-
-    def _start_watch(
-        self,
-        connection: socket.socket,
-        send_lock: threading.Lock,
-        watch_state: Dict,
-        message: Dict,
-    ) -> None:
-        """Subscribe this connection to the event stream (same contract
-        as :meth:`Coordinator._start_watch`: the ``watching`` ack goes out
-        before the sender thread starts, so events arrive strictly after
-        it, in ``seq`` order)."""
-        if watch_state.get("queue") is not None:
-            with send_lock:
-                connection.sendall(
-                    encode_message({"type": "watching", "seq": self.events.seq})
-                )
-            return
-        # No ``from_seq`` field means live-only; an explicit value (0
-        # included) replays buffered events with seq > from_seq first.
-        raw_from_seq = message.get("from_seq")
-        try:
-            from_seq = None if raw_from_seq is None else int(raw_from_seq)
-        except (TypeError, ValueError):
-            from_seq = None
-        status = self.status_payload()
-        subscriber = self.events.subscribe(maxsize=DEFAULT_WATCH_QUEUE, from_seq=from_seq)
-        try:
-            with send_lock:
-                connection.sendall(
-                    encode_message(
-                        {"type": "watching", "seq": self.events.seq, "status": status}
-                    )
-                )
-        except OSError:
-            self.events.unsubscribe(subscriber)
-            raise
-        thread = threading.Thread(
-            target=self._watch_sender,
-            args=(connection, send_lock, subscriber),
-            daemon=True,
-            name="service-watch-sender",
-        )
-        watch_state["queue"] = subscriber
-        watch_state["thread"] = thread
-        thread.start()
-
-    def _watch_sender(
-        self, connection: socket.socket, send_lock: threading.Lock, subscriber
-    ) -> None:
-        while True:
-            event = subscriber.get()
-            if event is None:  # _stop_watch's sentinel
-                return
-            try:
-                with send_lock:
-                    connection.sendall(encode_message({"type": "event", "event": event}))
-            except OSError:
-                return
-
-    def _stop_watch(self, watch_state: Dict) -> None:
-        subscriber = watch_state.pop("queue", None)
-        thread = watch_state.pop("thread", None)
-        if subscriber is not None:
-            self.events.unsubscribe(subscriber)
-            subscriber.put(None)
-        if thread is not None:
-            thread.join(timeout=2.0)
-
     def _handle(self, message: Dict, connection_id: int):
         kind = message.get("type")
-        if kind not in ("hello", "status"):
-            self._touch_worker(connection_id)
-        if kind == "hello":
-            return self._hello(message, connection_id)
         if kind == "submit":
             return self._submit(message, connection_id)
         if kind == "poll":
@@ -575,70 +1146,7 @@ class SweepService:
             return self._cancel(message)
         if kind == "jobs":
             return self._list_jobs()
-        if kind == "lease":
-            return self._lease(connection_id)
-        if kind == "result":
-            return self._commit(message, connection_id)
-        if kind == "error":
-            self._requeue(
-                message.get("key", ""),
-                connection_id,
-                reason=str(message.get("error", "worker error")),
-            )
-            return {"type": "ack"}
-        if kind == "heartbeat":
-            self._renew(message.get("key", ""), connection_id)
-            return None
-        if kind == "metrics":
-            snapshot = message.get("snapshot")
-            if isinstance(snapshot, dict):
-                with self._lock:
-                    name = self._peers.get(connection_id, {}).get("worker") or str(
-                        message.get("worker") or f"conn-{connection_id}"
-                    )
-                    self._worker_snapshots[name] = snapshot
-            return None
-        if kind == "status":
-            return self.status_payload()
-        if kind == "goodbye":
-            return _GOODBYE
-        return {"type": "error", "error": f"unknown message type {kind!r}"}
-
-    def _hello(self, message: Dict, connection_id: int) -> Dict:
-        if message.get("protocol") != PROTOCOL_VERSION:
-            return {
-                "type": "done",
-                "error": f"protocol mismatch (service speaks {PROTOCOL_VERSION})",
-            }
-        name = str(message.get("worker") or f"conn-{connection_id}")
-        role = str(message.get("role") or "worker")
-        with self._lock:
-            self._peers[connection_id] = {
-                "worker": name, "pid": message.get("pid"), "role": role
-            }
-            if role == "worker":
-                stats = self._worker_stats.setdefault(
-                    name, {"pid": message.get("pid"), "completed": 0, "leases": 0}
-                )
-                stats["pid"] = message.get("pid")
-                stats["last_seen"] = time.monotonic()
-            points = len(self._points)
-        self._log.info("%s %s connected (pid %s)", role, name, message.get("pid"))
-        self.events.emit(
-            "worker.connect", worker=name, pid=message.get("pid"), role=role
-        )
-        return {
-            "type": "welcome",
-            "protocol": PROTOCOL_VERSION,
-            "points": points,
-            "features": list(SERVICE_FEATURES),
-        }
-
-    def _touch_worker(self, connection_id: int) -> None:
-        with self._lock:
-            name = self._peers.get(connection_id, {}).get("worker")
-            if name is not None and name in self._worker_stats:
-                self._worker_stats[name]["last_seen"] = time.monotonic()
+        return super()._handle(message, connection_id)
 
     # ------------------------------------------------------------- job intake
 
@@ -650,7 +1158,7 @@ class SweepService:
             for experiment in request.experiments:
                 resolve_experiment(experiment)
         except (KeyError, TypeError, ValueError) as exc:
-            self._metrics.counter("service.rejected_submissions")
+            self._count("rejected_submissions")
             return {"type": "error", "error": f"invalid request: {exc}"}
         with self._lock:
             tenant = str(
@@ -661,13 +1169,13 @@ class SweepService:
             self._job_seq += 1
             job = _Job(f"job-{self._job_seq:04d}", tenant, request)
             self._jobs[job.job_id] = job
-        self._metrics.counter("service.submissions")
+        self._count("submissions")
         self._emit_job(job)
         self._log.info(
             "job %s submitted by %s: %s (priority %s)",
             job.job_id, tenant, ",".join(request.experiments), request.priority,
         )
-        self._spawn(self._plan_job, job, name=f"service-plan-{job.job_id}")
+        self._spawn(self._plan_job, job, name=f"plan-{job.job_id}")
         return job.payload()
 
     def _plan_job(self, job: _Job) -> None:
@@ -713,17 +1221,11 @@ class SweepService:
                     if self._store.contains(key):
                         job.reused += 1
                         continue
-                    point = _ServicePoint(unit)
-                    self._points[key] = point
-                    self._points_registered += 1
-                    point.queued = True
-                    label = point.figure or "(unlabeled)"
-                    bucket = self._figures.setdefault(label, {"points": 0, "completed": 0})
-                    bucket["points"] += 1
+                    point = self._add_point_locked(unit)
                 point.jobs.add(job.job_id)
                 job.remaining.add(key)
                 job.queue.append(key)
-            self._metrics.counter("service.points_planned", len(job.remaining))
+            self._count("points_planned", len(job.remaining))
             if job.remaining:
                 job.state = RUNNING
                 self._scheduler.add_job(job.job_id, priority=request.priority)
@@ -738,54 +1240,11 @@ class SweepService:
         )
         self._emit_job(job)
         if finalize:
-            self._spawn(self._finalize_job, job, name=f"service-final-{job.job_id}")
+            self._spawn(self._finalize_job, job, name=f"final-{job.job_id}")
 
-    # ------------------------------------------------------------- leasing
+    # ------------------------------------------------------------- policy
 
-    def _lease(self, connection_id: int) -> Dict:
-        while True:
-            now = time.monotonic()
-            with self._lock:
-                if self._shutdown.is_set():
-                    return {"type": "done"}
-                job_id, point = self._next_point_locked()
-                if point is None:
-                    point = self._straggler_candidate(connection_id, now)
-                    if point is not None:
-                        # Attribute the duplicate lease to any live
-                        # subscriber (reporting only); it is *not* a
-                        # scheduler service — duplicating a straggler's
-                        # tail must not advance anyone's streak.
-                        job_id = next(iter(sorted(point.jobs)), None)
-                if point is None:
-                    return {"type": "wait", "seconds": self.retry_seconds}
-                worker = self._peers.get(connection_id, {}).get(
-                    "worker", f"conn-{connection_id}"
-                )
-                point.leases[connection_id] = _Lease(
-                    connection_id, worker, deadline=now + self.lease_timeout,
-                    started=now, job=job_id,
-                )
-                if worker in self._worker_stats:
-                    self._worker_stats[worker]["leases"] += 1
-            self._metrics.counter("service.lease_grants")
-            wire = point.wire()  # outside the lock (large payloads)
-            if wire is not None and not point.done:
-                self.events.emit(
-                    "lease.grant",
-                    point=wire.get("key"),
-                    worker=worker,
-                    job=job_id,
-                    figure=point.figure,
-                )
-                reply = {"type": "work", "unit": wire}
-                if job_id is not None:
-                    reply["job"] = job_id
-                return reply
-            with self._lock:
-                point.leases.pop(connection_id, None)
-
-    def _next_point_locked(self) -> Tuple[Optional[str], Optional[_ServicePoint]]:
+    def _next_point_locked(self) -> Tuple[Optional[str], Optional[_Point]]:
         """Fair pick: ask the scheduler for a job, pop its next live key.
 
         A job whose queue holds only stale entries (shared points another
@@ -804,175 +1263,67 @@ class SweepService:
                 return None, None
             job = self._jobs[job_id]
             while job.queue:
-                key = job.queue.popleft()
-                point = self._points.get(key)
-                if (
-                    point is None or point.done or point.failed is not None
-                    or not point.queued
-                ):
+                point = self._points.get(job.queue.popleft())
+                if point is None or not point.queued:
                     continue
                 point.queued = False
                 self._scheduler.record_service(job_id)
                 return job_id, point
             exhausted.add(job_id)
 
-    def _straggler_candidate(
-        self, connection_id: int, now: float
-    ) -> Optional[_ServicePoint]:
-        oldest: Optional[Tuple[float, _ServicePoint]] = None
-        for point in self._points.values():
-            if point.done or point.failed is not None or point.committing:
-                continue
-            if point.queued or not point.leases:
-                continue
-            if connection_id in point.leases:
-                continue
-            started = min(lease.started for lease in point.leases.values())
-            if now - started < self.straggler_timeout:
-                continue
-            if oldest is None or started < oldest[0]:
-                oldest = (started, point)
-        return None if oldest is None else oldest[1]
+    def _requeue_locked(self, point: _Point) -> None:
+        # Re-list the key with *every* live subscriber so whichever job
+        # the scheduler favours next can carry it.
+        for job_id in point.jobs:
+            job = self._jobs.get(job_id)
+            if job is not None and job.state == RUNNING:
+                job.queue.append(point.key)
 
-    # ------------------------------------------------------------- commits
-
-    def _commit(self, message: Dict, connection_id: int) -> Dict:
-        key = message.get("key", "")
-        try:
-            result = result_from_wire(message["result"])
-        except (KeyError, TypeError, ValueError) as exc:
-            self._requeue(key, connection_id, reason=f"undecodable result: {exc}")
-            return {"type": "ack"}
-        with self._lock:
-            point = self._points.get(key)
-            if point is None:
-                return {"type": "ack"}
-            lease = point.leases.pop(connection_id, None)
-            if point.done or point.committing:
-                return {"type": "ack"}
-            point.committing = True
-            lease_job = lease.job if lease is not None else None
-        try:
-            # Commit outside the lock — a disk write must not serialise
-            # every other connection (see Coordinator._commit).
-            store_put(self._store, key, result, point.figure)
-        except BaseException:
-            with self._lock:
-                point.committing = False
-                point.attempts += 1
-                self._settle_or_requeue(point, key, "result store commit failed")
-            raise
+    def _credit_commit_locked(
+        self, point: _Point, lease_job: Optional[str], worker: Optional[str], message: Dict
+    ) -> Optional[Callable[[], None]]:
         finalize: List[_Job] = []
-        with self._lock:
-            point.committing = False
-            point.done = True
-            self._points_completed += 1
-            bucket = self._figures.get(point.figure or "(unlabeled)")
-            if bucket is not None:
-                bucket["completed"] += 1
-            worker = self._peers.get(connection_id, {}).get("worker")
-            if worker in self._worker_stats:
-                self._worker_stats[worker]["completed"] += 1
-            for job_id in point.jobs:
-                job = self._jobs.get(job_id)
-                if job is None or job.state != RUNNING or key not in job.remaining:
-                    continue
-                job.remaining.discard(key)
-                if job_id == lease_job:
-                    job.executed += 1
-                else:
-                    job.reused += 1
-                if not job.remaining:
-                    job.state = FINALIZING
-                    self._scheduler.remove_job(job_id)
-                    finalize.append(job)
-            # The store answers everything from here on; drop the point
-            # (and its traces) so a long-lived daemon's memory tracks the
-            # *live* backlog, not its history.
-            del self._points[key]
-        self._metrics.counter("service.results_committed")
-        self.events.emit(
-            "point.commit",
-            point=key,
-            worker=worker,
-            job=lease_job,
-            figure=point.figure,
-        )
-        for job in finalize:
+        for job_id in point.jobs:
+            job = self._jobs.get(job_id)
+            if job is None or job.state != RUNNING or point.key not in job.remaining:
+                continue
+            job.remaining.discard(point.key)
+            if job_id == lease_job:
+                job.executed += 1
+            else:
+                job.reused += 1
+            if not job.remaining:
+                job.state = FINALIZING
+                self._scheduler.remove_job(job_id)
+                finalize.append(job)
+        # The store answers everything from here on; drop the point (and
+        # its traces).
+        del self._points[point.key]
+        return partial(self._start_finalizers, finalize) if finalize else None
+
+    def _start_finalizers(self, jobs: List[_Job]) -> None:
+        for job in jobs:
             self._emit_job(job)
-            self._spawn(self._finalize_job, job, name=f"service-final-{job.job_id}")
-        return {"type": "ack"}
+            self._spawn(self._finalize_job, job, name=f"final-{job.job_id}")
 
-    def _requeue(self, key: str, connection_id: int, reason: str) -> None:
-        with self._lock:
-            point = self._points.get(key)
-            if point is None or point.done:
-                return
-            point.leases.pop(connection_id, None)
-            self._record_attempt(point, key, reason)
+    def _fail_point_locked(self, point: _Point, reason: str) -> None:
+        """Fail every subscribed job, then drop the point.
 
-    def _record_attempt(self, point: _ServicePoint, key: str, reason: str) -> None:
-        """Count one failed attempt, then settle or requeue.  Lock held."""
-        point.attempts += 1
-        self._metrics.counter("service.retries")
-        self._log.warning("point %s attempt failed: %s", key[:12], reason)
-        self._settle_or_requeue(point, key, reason)
-        if point.failed is not None:
-            self.events.emit(
-                "point.fail",
-                point=key,
-                figure=point.figure,
-                reason=reason,
-                attempts=point.attempts,
-            )
-        elif point.queued:
-            self.events.emit(
-                "point.requeue",
-                point=key,
-                figure=point.figure,
-                reason=reason,
-                attempts=point.attempts,
-            )
-
-    def _settle_or_requeue(self, point: _ServicePoint, key: str, reason: str) -> None:
-        """Resolve a point after a failed attempt.  Lock held.
-
-        Same invariant as the coordinator's: never settle while another
-        live lease or an in-flight commit might still complete the
-        point.  Requeueing re-lists the key with *every* live subscriber
-        so whichever job the scheduler favours next can carry it.
+        Dropped rather than kept failed forever: a later resubmit
+        replans it from scratch with a fresh attempt budget (transient
+        infrastructure failures should not poison a daemon).
         """
-        if point.done or point.failed is not None:
-            return
-        if point.leases or point.committing:
-            return
-        if point.attempts >= self.max_attempts:
-            self._fail_point_locked(point, key, reason)
-        elif not point.queued:
-            point.queued = True
-            for job_id in point.jobs:
-                job = self._jobs.get(job_id)
-                if job is not None and job.state == RUNNING:
-                    job.queue.append(key)
-
-    def _fail_point_locked(self, point: _ServicePoint, key: str, reason: str) -> None:
-        """A point exhausted its attempts: fail every subscribed job.
-
-        The point is removed rather than kept failed forever — a later
-        resubmit replans it from scratch with a fresh attempt budget
-        (transient infrastructure failures should not poison a daemon).
-        """
-        point.failed = reason
-        self._points_failed += 1
-        bucket = self._figures.get(point.figure or "(unlabeled)")
-        if bucket is not None:
-            bucket["points"] -= 1
-        self._metrics.counter("service.points_failed")
         for job_id in list(point.jobs):
             job = self._jobs.get(job_id)
             if job is not None:
-                self._fail_job_locked(job, f"point {key[:12]} failed: {reason}")
-        self._points.pop(key, None)
+                self._fail_job_locked(job, f"point {point.key[:12]} failed: {reason}")
+        self._drop_point_locked(point)
+
+    def _drop_point_locked(self, point: _Point) -> None:
+        bucket = self._figures.get(point.figure or "(unlabeled)")
+        if bucket is not None:
+            bucket["points"] -= 1
+        self._points.pop(point.key, None)
 
     def _fail_job_locked(self, job: _Job, reason: str) -> None:
         if job.state in TERMINAL_STATES:
@@ -983,7 +1334,7 @@ class SweepService:
         self._scheduler.remove_job(job.job_id)
         job.queue.clear()
         self._drop_subscriptions_locked(job)
-        self._metrics.counter("service.jobs_failed")
+        self._count("jobs_failed")
         self._log.warning("job %s failed: %s", job.job_id, reason)
         self._emit_job(job)
 
@@ -1000,59 +1351,8 @@ class SweepService:
                 continue
             point.jobs.discard(job.job_id)
             if not point.jobs and not point.leases and not point.committing:
-                bucket = self._figures.get(point.figure or "(unlabeled)")
-                if bucket is not None:
-                    bucket["points"] -= 1
-                self._points.pop(key, None)
+                self._drop_point_locked(point)
         job.remaining.clear()
-
-    def _renew(self, key: str, connection_id: int) -> None:
-        now = time.monotonic()
-        with self._lock:
-            point = self._points.get(key)
-            if point is None:
-                return
-            lease = point.leases.get(connection_id)
-            if lease is not None:
-                lease.deadline = now + self.lease_timeout
-
-    def _release_connection(self, connection_id: int) -> None:
-        with self._lock:
-            info = self._peers.pop(connection_id, None)
-        if info is not None:
-            self._log.info("%s %s disconnected", info.get("role", "peer"), info.get("worker"))
-            self.events.emit("worker.disconnect", worker=info.get("worker"))
-        with self._lock:
-            for key, point in list(self._points.items()):
-                if connection_id in point.leases and not point.done:
-                    point.leases.pop(connection_id)
-                    if not point.leases:
-                        self._record_attempt(point, key, "worker connection lost")
-
-    def _reaper_loop(self) -> None:
-        interval = min(1.0, max(0.05, self.lease_timeout / 4))
-        while not self._shutdown.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                for key, point in list(self._points.items()):
-                    if point.done or point.failed is not None:
-                        continue
-                    expired = [
-                        lease_id
-                        for lease_id, lease in point.leases.items()
-                        if lease.deadline < now
-                    ]
-                    for lease_id in expired:
-                        lease = point.leases.pop(lease_id)
-                        self._metrics.counter("service.lease_expired")
-                        self.events.emit(
-                            "lease.expire",
-                            point=key,
-                            worker=lease.worker,
-                            job=lease.job,
-                            figure=point.figure,
-                        )
-                        self._record_attempt(point, key, "lease expired (missed heartbeats)")
 
     # ------------------------------------------------------------- job queries
 
@@ -1077,7 +1377,7 @@ class SweepService:
                 self._scheduler.remove_job(job_id)
                 job.queue.clear()
                 self._drop_subscriptions_locked(job)
-                self._metrics.counter("service.jobs_cancelled")
+                self._count("jobs_cancelled")
                 self._log.info("job %s cancelled", job_id)
                 self._emit_job(job)
             return job.payload()
@@ -1126,7 +1426,7 @@ class SweepService:
             job.results = results
             job.state = DONE
             job.finished_at = time.time()
-        self._metrics.counter("service.jobs_completed")
+        self._count("jobs_completed")
         self._emit_job(job)
         self._log.info(
             "job %s done: %d points (%d executed, %d reused) in %.1fs",
@@ -1173,62 +1473,13 @@ class SweepService:
     # ------------------------------------------------------------- status
 
     def status_payload(self) -> Dict:
-        """The live ``status`` reply, coordinator-shaped plus a jobs table
-        and the fairness scheduler's state."""
-        now = time.monotonic()
-        elapsed = max(1e-9, now - self._started_monotonic)
+        """The live ``status`` reply plus a jobs table and the fairness
+        scheduler's state."""
+        payload = super().status_payload()
         with self._lock:
-            active_leases = sum(
-                len(point.leases) for point in self._points.values() if not point.done
-            )
-            pending = sum(1 for point in self._points.values() if point.queued)
-            rate = self._points_completed / elapsed
-            figures = {}
-            for label, bucket in sorted(self._figures.items()):
-                remaining = bucket["points"] - bucket["completed"]
-                figures[label] = {
-                    "points": bucket["points"],
-                    "completed": bucket["completed"],
-                    "eta_seconds": (remaining / rate) if rate > 0 and remaining else (
-                        None if remaining else 0.0
-                    ),
-                }
-            workers = {}
-            for name, stats in self._worker_stats.items():
-                last_seen = stats.get("last_seen")
-                workers[name] = {
-                    "pid": stats.get("pid"),
-                    "leases": stats.get("leases", 0),
-                    "completed": stats.get("completed", 0),
-                    "last_seen_seconds": None if last_seen is None else now - last_seen,
-                }
-            jobs = {job_id: job.payload() for job_id, job in self._jobs.items()}
-            scheduler = self._scheduler.snapshot()
-            worker_snapshots = list(self._worker_snapshots.values())
-            completed = self._points_completed
-            failed = self._points_failed
-            points = self._points_registered
-        merged = telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
-        return {
-            "type": "status",
-            "protocol": PROTOCOL_VERSION,
-            "points": points,
-            "pending": pending,
-            "completed": completed,
-            "failed": failed,
-            "leases": active_leases,
-            "workers": workers,
-            "elapsed_seconds": elapsed,
-            "points_per_second": rate,
-            "cache": {
-                "hits": getattr(self._store, "hits", 0),
-                "misses": getattr(self._store, "misses", 0),
-            },
-            "figures": figures,
-            "metrics": merged,
-            "jobs": jobs,
-            "scheduler": scheduler,
-        }
+            payload["jobs"] = {job_id: job.payload() for job_id, job in self._jobs.items()}
+            payload["scheduler"] = self._scheduler.snapshot()
+        return payload
 
 
 #: Sentinel handler return: close the connection without replying.

@@ -1,18 +1,21 @@
-"""Worker loop: lease points from a coordinator, simulate, stream results.
+"""Worker loop: lease points from a server, simulate, stream results.
 
-A worker is stateless — it holds nothing but the point it is currently
-simulating.  While a simulation runs, a background thread sends
-heartbeats so the coordinator keeps the lease alive; the simulation
+The server is a ``repro serve`` daemon or a library-run coordinator;
+the worker speaks the same protocol to both.  A worker is stateless —
+it holds nothing but the point it is currently simulating.  While a
+simulation runs, a background thread sends heartbeats so the server
+keeps the lease alive; the simulation
 itself goes through :func:`repro.sim.runner.simulate_traces` (the
 repository-wide choke point), so a worker honours the same engine
 selection and produces the same bits as an in-process run.
 
-Run one from the CLI on any machine that can reach the coordinator::
+Run one from the CLI on any machine that can reach the server::
 
-    PYTHONPATH=src python -m repro worker --connect HOST:PORT
+    PYTHONPATH=src python -m repro worker --target HOST:PORT
 
-The worker exits when the coordinator reports the run complete (or the
-connection drops).
+Against a coordinator the worker exits once told its batch is ``done``.
+A service never runs out of work, so against one the worker runs until
+the connection drops (the daemon stops, or the worker is killed).
 """
 
 from __future__ import annotations
@@ -88,20 +91,20 @@ class _Heartbeat:
 
 class _Interrupted(Exception):
     """The worker was told to stop (SIGTERM) mid-simulation; the final
-    checkpoint has already been streamed to the coordinator."""
+    checkpoint has already been streamed to the server."""
 
 
 class _WireCheckpointStore:
     """Checkpoint ``resume``/``put`` interface that streams to the
-    coordinator instead of a directory.
+    server (coordinator or service) instead of a directory.
 
     One instance serves one leased point: ``resume`` rehydrates the
-    snapshot the coordinator attached to the ``work`` reply (falling
-    back to a fresh start if it does not match this unit), and ``put``
-    sends each periodic snapshot as a fire-and-forget ``checkpoint``
-    message.  After streaming a snapshot it raises :class:`_Interrupted`
-    if a stop was requested — the coordinator then holds everything the
-    worker knew, so exiting loses nothing.
+    snapshot the server attached to the ``work`` reply (falling back to
+    a fresh start if it does not match this unit), and ``put`` sends
+    each periodic snapshot as a fire-and-forget ``checkpoint`` message.
+    After streaming a snapshot it raises :class:`_Interrupted` if a stop
+    was requested — the server then holds everything the worker knew,
+    so exiting loses nothing.
     """
 
     def __init__(self, send, worker_id: str, key: str, resume_payload, stop: threading.Event) -> None:
@@ -144,13 +147,14 @@ def run_worker(
     checkpoint_interval: Optional[int] = None,
     log=None,
 ) -> WorkerStats:
-    """Serve one coordinator until it reports the run done.
+    """Serve one coordinator or service until told ``done`` or the
+    connection drops.
 
     ``connect`` is ``HOST:PORT``.  Returns the worker's tally; raises
-    ``OSError`` if the coordinator cannot be reached at all.
+    ``OSError`` if the server cannot be reached at all.
 
     With ``checkpoint_interval`` set (simulated cycles), the worker
-    streams a snapshot of the running point to the coordinator every
+    streams a snapshot of the running point to the server every
     interval and resumes from any snapshot attached to its lease, so a
     killed worker loses at most one interval of simulation.  SIGTERM is
     honoured cooperatively: the worker finishes the current interval,
@@ -221,7 +225,7 @@ def run_worker(
             send({"type": "lease"})
             reply = receive()
             if reply is None:
-                log("coordinator hung up")
+                log("server hung up")
                 break
             kind = reply.get("type")
             if kind == "done":
@@ -277,7 +281,7 @@ def run_worker(
                 send(message)
             ack = receive()
             if ack is None:
-                log("coordinator hung up before acknowledging")
+                log("server hung up before acknowledging")
                 break
             report_metrics()
             if stop_requested.is_set():

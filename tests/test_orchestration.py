@@ -309,8 +309,9 @@ class TestCLI:
     def test_executor_serial_flag_runs_orchestrated(self, tmp_path, capsys):
         from repro.__main__ import main
 
+        # `--target local` is the serial executor's spelling.
         code = main(
-            ["fig5", "--instructions", "2000", "--executor", "serial",
+            ["fig5", "--instructions", "2000", "--target", "local",
              "--cache-dir", str(tmp_path / "cache")]
         )
         assert code == 0
@@ -318,16 +319,6 @@ class TestCLI:
         assert "Figure 5" in captured.out
         # The plan → execute → replay pipeline ran (points were planned).
         assert "simulation points" in captured.err
-
-    def test_workers_flag_requires_distributed_executor(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["fig5", "--workers", "2", "--no-cache"]) == 2
-        assert main(["fig5", "--executor", "distributed", "--bind", "nope", "--no-cache"]) == 2
-        # --jobs sizes the local pool; rejecting the combination beats
-        # silently running with different parallelism than requested.
-        assert main(["fig5", "--jobs", "4", "--executor", "serial", "--no-cache"]) == 2
-        assert main(["fig5", "--jobs", "4", "--executor", "distributed", "--no-cache"]) == 2
 
     def test_cache_subcommand_stats_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -480,21 +471,9 @@ class TestManifestPruning:
 
 
 class TestTargetCLI:
-    def test_deprecated_executor_flag_warns_and_still_works(self, tmp_path, capsys):
+    def test_target_rejects_malformed_spec(self, capsys):
         from repro.__main__ import main
 
-        code = main(
-            ["fig5", "--instructions", "2000", "--executor", "serial",
-             "--cache-dir", str(tmp_path / "cache")]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err and "--target" in captured.err
-
-    def test_target_conflicts_with_deprecated_flags(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["fig5", "--target", "local", "--executor", "serial", "--no-cache"]) == 2
         assert main(["fig5", "--target", "nope", "--no-cache"]) == 2
 
     def test_target_local_runs_serial(self, tmp_path, capsys):

@@ -29,10 +29,12 @@ from repro.distributed import (
     run_worker,
 )
 from repro.distributed.protocol import (
+    checkpoint_message,
     decode_message,
     encode_message,
     hello_message,
     peer_features,
+    unit_from_wire,
 )
 from repro.orchestration import (
     InMemoryResultStore,
@@ -40,6 +42,8 @@ from repro.orchestration import (
     canonical_data,
     sweep_experiments,
 )
+from repro.sim import checkpoint
+from repro.sim.system import System
 from tests.test_distributed import make_unit
 
 #: Service knobs tuned so fault-handling paths fire inside a test run.
@@ -206,7 +210,10 @@ class FakeClient:
         raise AssertionError("service never handed out work")
 
     def close(self):
+        # The stream holds a reference to the socket: close both, or the
+        # connection stays open and the service never sees it drop.
         try:
+            self.stream.close()
             self.connection.close()
         except OSError:
             pass
@@ -359,12 +366,12 @@ class TestServiceFairness:
 # ----------------------------------------------------------------- equivalence
 
 
-def start_worker_thread(address, name):
+def start_worker_thread(address, name, **kwargs):
     host, port = address
 
     def serve():
         try:
-            run_worker(f"{host}:{port}", worker_id=name, log=lambda text: None)
+            run_worker(f"{host}:{port}", worker_id=name, log=lambda text: None, **kwargs)
         except OSError:
             pass  # service shut down mid-request
 
@@ -583,3 +590,163 @@ class TestServiceShutdown:
             and thread.name.startswith(("service-plan-", "service-final-"))
         ]
         assert leftover == []
+
+
+# ----------------------------------------------------------------- service fault tolerance
+
+
+#: Lease and straggler windows no hand-driven step can outlast, so only
+#: the disconnects and error reports a test sends requeue anything.
+PATIENT = dict(lease_timeout=30.0, straggler_timeout=60.0, retry_seconds=0.05)
+
+
+def lease_for_job(worker, job_id, attempts=20):
+    """Lease points until one is granted for ``job_id``."""
+    for _ in range(attempts):
+        grant = worker.lease_work()
+        if grant.get("job") == job_id:
+            return grant
+    raise AssertionError(f"no point was leased for {job_id}")
+
+
+class TestServiceFaultTolerance:
+    def test_disconnected_workers_point_is_relisted_and_its_job_finishes(self):
+        svc = SweepService(InMemoryResultStore(), **PATIENT)
+        address = svc.start()
+        events = svc.events.subscribe()
+        worker = None
+        try:
+            with SweepClient(address) as client:
+                job_id = client.submit(FIG5)
+                wait_until(lambda: client.poll(job_id).state == "running")
+                doomed = FakeClient(address, "doomed", role="worker")
+                grant = doomed.lease_work()
+                key = grant["unit"]["key"]
+                assert grant["job"] == job_id
+                doomed.close()  # dies holding the lease
+
+                def relisted():
+                    with svc._lock:
+                        return key in svc._jobs[job_id].queue
+
+                wait_until(relisted)
+                worker = start_worker_thread(address, "survivor")
+                status = client.wait(job_id, timeout=120)
+                assert status.state == "done"
+                assert status.executed == status.points
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+        granted = []
+        while not events.empty():
+            event = events.get_nowait()
+            if event["kind"] == "lease.grant" and event["point"] == key:
+                granted.append(event["worker"])
+        assert granted == ["doomed", "survivor"]
+
+    def test_exhausted_shared_point_fails_every_subscriber_then_replans(self):
+        serial_fig6 = sweep_experiments(FIG6, store=InMemoryResultStore())
+        svc = SweepService(InMemoryResultStore(), max_attempts=1, **PATIENT)
+        address = svc.start()
+        worker = None
+        try:
+            with SweepClient(address, tenant="alice") as alice, \
+                    SweepClient(address, tenant="bob") as bob:
+                both_id = alice.submit(BOTH)
+                wait_until(lambda: alice.poll(both_id).state == "running")
+                fig6_id = bob.submit(FIG6)
+                wait_until(lambda: bob.poll(fig6_id).state == "running")
+
+                buggy = FakeClient(address, "buggy", role="worker")
+                key = lease_for_job(buggy, fig6_id)["unit"]["key"]
+                with svc._lock:
+                    assert svc._points[key].jobs == {both_id, fig6_id}
+                error = {"type": "error", "key": key, "error": "ValueError: boom"}
+                assert buggy.rpc(error)["type"] == "ack"
+
+                reason = f"point {key[:12]} failed: ValueError: boom"
+                for client, job_id in ((alice, both_id), (bob, fig6_id)):
+                    status = client.poll(job_id)
+                    assert status.state == "failed" and status.error == reason
+                buggy.close()
+                wait_until(lambda: svc.status_payload()["leases"] == 0)
+
+                # The failed point was dropped, not kept failed: a
+                # resubmit plans it afresh with a full attempt budget.
+                again = bob.submit(FIG6)
+                wait_until(lambda: bob.poll(again).state == "running")
+                with svc._lock:
+                    point = svc._points[key]
+                    assert point.attempts == 0 and point.jobs == {again}
+                worker = start_worker_thread(address, "healthy")
+                assert bob.wait(again, timeout=120).state == "done"
+                assert dumps(bob.results(again)) == dumps(serial_fig6.data)
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+
+
+class TestServiceCheckpointResume:
+    """Checkpointing workers serve a service exactly as they serve a
+    coordinator: the service stores each streamed snapshot and attaches
+    it to the point's next lease."""
+
+    def test_checkpointing_worker_drains_a_job_and_stays_connected(self):
+        svc = SweepService(InMemoryResultStore(), **FAST)
+        address = svc.start()
+        worker = None
+        try:
+            worker = start_worker_thread(address, "ckpt-worker", checkpoint_interval=200)
+            with SweepClient(address) as client:
+                status = client.wait(client.submit(FIG5), timeout=60)
+                assert status.state == "done"
+                assert status.executed == status.points
+            counters = svc.status_payload()["metrics"]["counters"]
+            assert counters["service.checkpoints"] > 0
+            assert worker.is_alive(), "the checkpointing worker left the fleet"
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+
+    def test_dead_workers_checkpoint_rides_the_next_lease(self):
+        serial = sweep_experiments(FIG5, store=InMemoryResultStore())
+        svc = SweepService(InMemoryResultStore(), **PATIENT)
+        address = svc.start()
+        worker = None
+        try:
+            with SweepClient(address) as client:
+                job_id = client.submit(FIG5)
+                wait_until(lambda: client.poll(job_id).state == "running")
+                doomed = FakeClient(address, "doomed", role="worker")
+                grant = doomed.lease_work()
+                unit = unit_from_wire(grant["unit"])
+                system = System(list(unit.traces), unit.config)
+                system.advance(stop_at=100)
+                snapshot = checkpoint.snapshot(system)
+                doomed.send(checkpoint_message("doomed", unit.key, system.cycle, snapshot))
+                # Frames are handled in order: the status reply proves the
+                # checkpoint was processed (and drew no reply of its own).
+                assert doomed.rpc({"type": "status"})["type"] == "status"
+                doomed.close()
+
+                rescuer = FakeClient(address, "rescuer", role="worker")
+                for _ in range(20):
+                    relet = rescuer.lease_work()
+                    if relet["unit"]["key"] == unit.key:
+                        break
+                assert relet["unit"]["key"] == unit.key
+                assert relet["checkpoint"]["cycle"] == system.cycle > 0
+                rescuer.close()
+
+                worker = start_worker_thread(address, "finisher", checkpoint_interval=200)
+                assert client.wait(job_id, timeout=120).state == "done"
+                assert dumps(client.results(job_id)) == dumps(serial.data)
+            counters = svc.status_payload()["metrics"]["counters"]
+            assert counters["service.points_resumed"] == 1
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)

@@ -689,13 +689,13 @@ class TestCLI:
         coordinator = Coordinator([unit], InMemoryResultStore(), **FAST)
         host, port = coordinator.start()
         try:
-            assert main(["status", "--connect", f"{host}:{port}"]) == 0
+            assert main(["status", "--target", f"{host}:{port}"]) == 0
             captured = capsys.readouterr()
             assert "points   0/1 done" in captured.out
             assert "fig6" in captured.out
             assert "workers  (none connected yet)" in captured.out
 
-            assert main(["status", "--connect", f"{host}:{port}", "--json"]) == 0
+            assert main(["status", "--target", f"{host}:{port}", "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert validate_status(payload) == []
         finally:
@@ -707,7 +707,7 @@ class TestCLI:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        assert main(["status", "--connect", f"127.0.0.1:{port}", "--timeout", "0.5"]) == 1
+        assert main(["status", "--target", f"127.0.0.1:{port}", "--timeout", "0.5"]) == 1
         assert "could not fetch status" in capsys.readouterr().err
 
     def test_run_writes_manifest_and_no_telemetry_is_byte_identical(self, tmp_path, capsys):
