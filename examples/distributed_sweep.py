@@ -24,7 +24,7 @@ import tempfile
 
 from repro.distributed import DistributedExecutor
 from repro.experiments import fig06_dualcore_performance as fig6
-from repro.orchestration import ResultCache, SweepRequest, SweepStats, run_experiment
+from repro.orchestration import ResultCache, SweepRequest, sweep_experiments
 from repro.sim.runner import AloneRunCache
 from repro.workloads.suites import representative_subset
 
@@ -36,15 +36,15 @@ def main() -> None:
     serial = fig6.run(cache=AloneRunCache(), apps=apps, instructions=20_000)
 
     print("Distributed run: coordinator + 2 localhost workers...")
-    stats = SweepStats()
     request = SweepRequest(experiments=("fig6",), instructions=20_000)
     with tempfile.TemporaryDirectory() as cache_dir:
         executor = DistributedExecutor(spawn_workers=2, timeout=600)
         # Experiment-module kwargs beyond the request's own fields (here
         # `apps`) pass through alongside it.
-        distributed = run_experiment(
-            request, store=ResultCache(cache_dir), executor=executor, stats=stats, apps=apps
-        )["fig6"]
+        result = sweep_experiments(
+            request, store=ResultCache(cache_dir), executor=executor, apps=apps
+        )
+    distributed, stats = result["fig6"], result.stats
 
     identical = json.dumps(distributed, sort_keys=True) == json.dumps(serial, sort_keys=True)
     print(f"\npoints planned: {stats.planned}, executed by workers: {stats.executed}")

@@ -5,10 +5,9 @@ Usage::
     python -m repro --list
     python -m repro fig6
     python -m repro fig10 --instructions 40000 --full
-    python -m repro fig7 --jobs 8                  # parallel simulation
-    python -m repro sweep fig6 fig11 --jobs 4      # several figures, one batch
+    python -m repro sweep fig6 fig11               # several figures, one batch
     python -m repro fig8 --json fig8.json          # export raw data
-    python -m repro fig7 --target process:4        # where points execute
+    python -m repro fig7 --target process:4        # a local pool of 4 workers
     python -m repro fig7 --target HOST:PORT        # submit to a sweep service
     python -m repro serve --bind 0.0.0.0:7777 --workers 4   # run the service
     python -m repro submit fig5 fig6 --target HOST:PORT     # submit + wait
@@ -26,11 +25,12 @@ Every invocation routes through :mod:`repro.orchestration`: simulation
 points are cached on disk (``--cache-dir``, default ``.repro-cache`` or
 ``$REPRO_CACHE_DIR``), so re-running a figure — or any figure sharing
 simulations with it — is served from the cache.  Execution is selected
-with one spec, ``--target {local,process[:N],HOST:PORT}``: serial in
-this process, a local process pool, or submission to a running
-``repro serve`` daemon; the printed tables are bit-identical to a
-serial run in every case.  The one-shot coordinator behind
-:class:`~repro.distributed.DistributedExecutor` is library API only.
+with one spec, ``--target {local,process[:N],HOST:PORT}`` (the only
+routing option): serial in this process, a local process pool, or
+submission to a running ``repro serve`` daemon; the printed tables are
+bit-identical to a serial run in every case.  The one-shot coordinator
+behind :class:`~repro.distributed.DistributedExecutor` is library API
+only.
 """
 
 from __future__ import annotations
@@ -92,13 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "'process[:N]' (local pool of N workers) or 'HOST:PORT' (submit "
             "the run to a `repro serve` daemon); default: local"
         ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="simulate independent points on N worker processes (default: 1, serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -965,7 +958,7 @@ def _serve_main(argv: list[str]) -> int:
 
 
 def _print_job_results(results, stats: SweepStats, *, sweep_mode: bool, json_out) -> None:
-    """Shared tail of the submit/--target-service paths: tables + export."""
+    """Tables, the stats line and the JSON export of a finished sweep."""
     tables = sys.stderr if json_out == "-" else sys.stdout
     if sweep_mode or len(results) != 1:
         print(format_sweep(results), file=tables)
@@ -975,6 +968,49 @@ def _print_job_results(results, stats: SweepStats, *, sweep_mode: bool, json_out
     print(format_stats(stats), file=sys.stderr)
     if json_out is not None:
         dump_json(results, json_out)
+
+
+def _submit_and_print(
+    target: str,
+    request: SweepRequest,
+    *,
+    sweep_mode: bool,
+    json_out,
+    wait: bool = True,
+    timeout: float | None = None,
+) -> int:
+    """Submit ``request`` to the daemon at ``target``, wait for the job and
+    print it like a local run (``repro submit`` and ``--target HOST:PORT``).
+
+    The service owns the cache and writes the job's manifest; the client
+    has nothing to persist.
+    """
+    from .distributed import ServiceError, SweepClient
+
+    try:
+        with SweepClient(target) as client:
+            job_id = client.submit(request)
+            print(f"submitted {job_id} to {target}", file=sys.stderr)
+            if not wait:
+                print(job_id)
+                return 0
+            status = client.wait(job_id, timeout=timeout)
+            if status.state != "done":
+                detail = f": {status.error}" if status.error else ""
+                print(f"{job_id} {status.state}{detail}", file=sys.stderr)
+                return 1
+            results = client.results(job_id)
+    except (ServiceError, TimeoutError, OSError, ValueError) as exc:
+        print(f"submit to {target} failed: {exc}", file=sys.stderr)
+        return 1
+    stats = SweepStats(
+        planned=status.points,
+        executed=status.executed,
+        reused=status.reused,
+        elapsed=status.elapsed_seconds,
+    )
+    _print_job_results(results, stats, sweep_mode=sweep_mode, json_out=json_out)
+    return 0
 
 
 def _submit_main(argv: list[str]) -> int:
@@ -1036,9 +1072,6 @@ def _submit_main(argv: list[str]) -> int:
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
-    target = args.target
-
-    from .distributed import ServiceError, SweepClient
 
     try:
         request = SweepRequest(
@@ -1052,33 +1085,14 @@ def _submit_main(argv: list[str]) -> int:
     except (TypeError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    try:
-        with SweepClient(target) as client:
-            job_id = client.submit(request)
-            print(f"submitted {job_id} to {target}", file=sys.stderr)
-            if args.no_wait:
-                print(job_id)
-                return 0
-            status = client.wait(job_id, timeout=args.timeout)
-            if status.state != "done":
-                detail = f": {status.error}" if status.error else ""
-                print(f"{job_id} {status.state}{detail}", file=sys.stderr)
-                return 1
-            results = client.results(job_id)
-    except (ServiceError, TimeoutError, OSError, ValueError) as exc:
-        print(f"submit to {target} failed: {exc}", file=sys.stderr)
-        return 1
-
-    stats = SweepStats(
-        planned=status.points,
-        executed=status.executed,
-        reused=status.reused,
-        elapsed=status.elapsed_seconds,
+    return _submit_and_print(
+        args.target,
+        request,
+        sweep_mode=len(request.experiments) > 1,
+        json_out=args.json,
+        wait=not args.no_wait,
+        timeout=args.timeout,
     )
-    _print_job_results(
-        results, stats, sweep_mode=len(request.experiments) > 1, json_out=args.json
-    )
-    return 0
 
 
 def _jobs_main(argv: list[str]) -> int:
@@ -1136,26 +1150,25 @@ class _CliError(Exception):
 
 
 def _resolve_execution(args):
-    """Map ``--target`` onto an execution plan.
+    """Map ``--target`` onto ``(service_address, executor)``.
 
-    Returns ``(service_address, executor, jobs)`` — exactly one of
-    ``service_address``/local fields is meaningful: a non-``None``
-    address means "submit to that daemon", otherwise run locally with
-    ``executor``/``jobs``.  Raises :class:`_CliError` on a bad spec.
+    A non-``None`` address means "submit to that daemon"; otherwise the
+    sweep runs here, on ``executor`` (a process pool) or, when that is
+    ``None`` too, serially in this process.  Raises :class:`_CliError`
+    on a bad spec.
     """
     if args.target is None:
-        return None, None, args.jobs
+        return None, None
     try:
         target = parse_target(args.target)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     if target.kind == "service":
         host, port = target.address
-        return f"{host}:{port}", None, args.jobs
+        return f"{host}:{port}", None
     if target.kind == "process":
-        jobs = target.jobs or os.cpu_count() or 1
-        return None, ProcessPoolExecutor(jobs=jobs), jobs
-    return None, None, args.jobs  # local: plain --jobs semantics
+        return None, ProcessPoolExecutor(jobs=target.jobs or os.cpu_count() or 1)
+    return None, None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1208,9 +1221,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     if args.checkpoint_interval is not None and args.checkpoint_interval < 1:
         print("--checkpoint-interval must be at least 1 cycle", file=sys.stderr)
         return 2
@@ -1224,40 +1234,17 @@ def main(argv: list[str] | None = None) -> int:
         engine=args.engine,
     )
     try:
-        service_address, executor, jobs = _resolve_execution(args)
+        service_address, executor = _resolve_execution(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     if service_address is not None:
-        from .distributed import ServiceError, SweepClient
-
-        try:
-            with SweepClient(service_address) as client:
-                job_id = client.submit(request)
-                print(f"submitted {job_id} to {service_address}", file=sys.stderr)
-                status = client.wait(job_id)
-                if status.state != "done":
-                    detail = f": {status.error}" if status.error else ""
-                    print(f"{job_id} {status.state}{detail}", file=sys.stderr)
-                    return 1
-                results = client.results(job_id)
-        except (ServiceError, OSError, ValueError) as exc:
-            print(f"submit to {service_address} failed: {exc}", file=sys.stderr)
-            return 1
-        stats = SweepStats(
-            planned=status.points,
-            executed=status.executed,
-            reused=status.reused,
-            elapsed=status.elapsed_seconds,
+        return _submit_and_print(
+            service_address, request, sweep_mode=sweep_mode, json_out=args.json
         )
-        # The service owns the cache and writes the job's manifest; the
-        # client-side run has nothing to persist.
-        _print_job_results(results, stats, sweep_mode=sweep_mode, json_out=args.json)
-        return 0
 
     store = None if args.no_cache else open_store(args.cache_dir)
-    stats = SweepStats()
     started_at = time.time()
     with contextlib.ExitStack() as stack:
         if args.no_telemetry:
@@ -1287,10 +1274,8 @@ def main(argv: list[str] | None = None) -> int:
                     args.checkpoint_interval,
                 )
             )
-        result = sweep_experiments(
-            request, jobs=jobs, store=store, stats=stats, executor=executor
-        )
-    results = result.data
+        result = sweep_experiments(request, store=store, executor=executor)
+    results, stats = result.data, result.stats
 
     # With `--json -` the JSON document owns stdout; tables move to stderr
     # so the output stays pipeable into jq & co.
@@ -1310,9 +1295,6 @@ def main(argv: list[str] | None = None) -> int:
             # best-effort contract as record_last_run).
             from .telemetry.manifest import write_manifest
 
-            executor_name = getattr(executor, "name", None) or (
-                "process" if jobs > 1 else "serial"
-            )
             try:
                 write_manifest(
                     store.cache_dir,
@@ -1320,7 +1302,7 @@ def main(argv: list[str] | None = None) -> int:
                     started_at=started_at,
                     argv=argv,
                     kwargs=request.run_kwargs(),
-                    executor=executor_name,
+                    executor=executor.name if executor is not None else "serial",
                     engine=args.engine,
                     stats={
                         "planned": stats.planned,

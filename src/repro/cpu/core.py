@@ -37,7 +37,7 @@ from typing import Callable, Deque, Optional
 from .trace import Trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """Microarchitectural parameters of a core."""
 

@@ -41,19 +41,20 @@ pre-planned batch in FIFO order and answers ``done`` once it settles.
 :class:`~repro.orchestration.request.SweepRequest`s over the same
 protocol (``submit``/``poll``/``cancel``/``jobs``, negotiated via the
 welcome's ``features`` like the telemetry messages), the service
-decomposes each into simulation points with the existing planner, and
-one shared worker fleet drains the points of *every* live job.  Each
+decomposes each into simulation points with the local sweep's planner,
+and one shared worker fleet drains the points of *every* live job.  Each
 policy supplies four methods: which point to lease next, where a failed
 attempt is requeued, what a commit credits and what an exhausted point
 fails.
 
 The service adds to the shared core:
 
-* **Bit-identity per job.**  Each job's figures are reassembled by
-  replaying the figure module through a
-  :class:`~repro.orchestration.sweep.CacheServingBackend` — the replay
-  *is* the serial code path, so a job's data dicts are byte-identical to
-  a serial run of the same request.
+* **Bit-identity per job.**  Each job is planned and reassembled by the
+  local sweep's own halves,
+  :func:`~repro.orchestration.sweep.plan_units` and
+  :func:`~repro.orchestration.sweep.replay` — the replay *is* the
+  serial code path, so a job's data dicts are byte-identical to a serial
+  run of the same request.
 * **Cross-tenant memoisation.**  Points are registered by content key:
   a point two jobs both need is simulated once and credited to both, and
   a point already in the store (from any past tenant) is never
@@ -77,19 +78,10 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..orchestration.cache import ResultCache
-from ..orchestration.executors import store_put
 from ..orchestration.report import canonical_data
 from ..orchestration.request import SweepRequest
-from ..orchestration.sweep import (
-    CacheServingBackend,
-    SimulationUnit,
-    filter_run_kwargs,
-    installed_backend,
-    plan_experiment,
-    resolve_experiment,
-    supported_run_kwargs,
-)
-from ..sim.runner import AloneRunCache, engine_override
+from ..orchestration.sweep import SimulationUnit, plan_units, replay, resolve_experiment
+from ..sim.runner import engine_override
 from ..telemetry import logs
 from ..telemetry.manifest import write_manifest
 from ..telemetry.trace import TraceJournal, read_journal, traces_dir
@@ -804,7 +796,7 @@ class PointServer:
             # other connection threads.  The point is only flagged done
             # *after* the write lands, so no policy can see it settled
             # while a result is still in flight.
-            store_put(self._store, key, result, point.figure)
+            self._store.put(key, result, figure=point.figure)
         except BaseException:
             with self._lock:
                 point.committing = False
@@ -1188,10 +1180,7 @@ class SweepService(PointServer):
         request = job.request
         try:
             with engine_override(request.engine):
-                units: Dict[str, SimulationUnit] = {}
-                for label in request.experiments:
-                    for unit in plan_experiment(label, label=label, **request.run_kwargs()):
-                        units.setdefault(unit.key, unit)
+                units = plan_units(request.experiments, **request.run_kwargs())
         except Exception as exc:  # a broken experiment module fails its job only
             with self._lock:
                 self._fail_job_locked(job, f"planning failed: {type(exc).__name__}: {exc}")
@@ -1395,24 +1384,16 @@ class SweepService(PointServer):
         """Replay one finished job's figures from the store (own thread).
 
         The replay is the serial code path over a fully warmed store —
-        the same construction the one-shot pipeline uses — so the data
-        dicts are byte-identical to a serial run.  The backend and the
-        engine override are thread-local, so several jobs (even on
-        different engines) finalize concurrently without interference.
+        the same :func:`~repro.orchestration.sweep.replay` a local sweep
+        runs — so the data dicts are byte-identical to a serial run.  The
+        backend and the engine override are thread-local, so several jobs
+        (even on different engines) finalize concurrently without
+        interference.
         """
         request = job.request
         try:
-            data: Dict[str, Dict] = {}
             with engine_override(request.engine):
-                backend = CacheServingBackend(self._store)
-                with installed_backend(backend):
-                    for label in request.experiments:
-                        backend.figure = label
-                        module = resolve_experiment(label)
-                        call_kwargs = filter_run_kwargs(module, request.run_kwargs())
-                        if "cache" in supported_run_kwargs(module):
-                            call_kwargs["cache"] = AloneRunCache()
-                        data[label] = module.run(**call_kwargs)
+                data, _ = replay(request.experiments, self._store, **request.run_kwargs())
             # Canonicalise now so a poll's wire round-trip cannot change
             # the bytes a client exports (see report.canonical_data).
             results = canonical_data(data)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..sim.config import SimulationConfig, baseline_config, drstrange_config, greedy_config
-from ..sim.runner import AloneRunCache, GLOBAL_ALONE_CACHE
 from ..workloads.spec import ApplicationSpec
 from ..workloads.suites import ALL_APPLICATIONS, representative_subset
 
@@ -67,25 +66,3 @@ def format_row(label: str, values: Dict[str, float], width: int = 22) -> str:
     cells = "  ".join(f"{key}={value:.3f}" for key, value in values.items())
     return f"{label:<{width}} {cells}"
 
-
-def fresh_cache() -> AloneRunCache:
-    """A private alone-run cache (used by tests that must not share state)."""
-    return AloneRunCache()
-
-
-def shared_cache() -> AloneRunCache:
-    """The process-wide alone-run cache."""
-    return GLOBAL_ALONE_CACHE
-
-
-def persistent_cache(cache_dir) -> AloneRunCache:
-    """An alone-run cache backed by the on-disk result store at ``cache_dir``.
-
-    Unlike :func:`shared_cache`, entries survive across processes, CLI
-    invocations and benchmark sessions (see :mod:`repro.orchestration`).
-    The import is deferred because :mod:`repro.orchestration` imports the
-    experiment registry.
-    """
-    from ..orchestration import persistent_alone_cache
-
-    return persistent_alone_cache(cache_dir)

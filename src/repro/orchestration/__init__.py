@@ -7,11 +7,11 @@ Public surface:
   API: one frozen, validated request object that travels unchanged
   through :func:`sweep_experiments`, the service protocol and run
   manifests, and the mapping-of-data-dicts result it produces.
-* :func:`~repro.orchestration.sweep.run_experiment` /
-  :func:`~repro.orchestration.sweep.sweep_experiments` — run figures
-  through the plan → execute (multiprocessing) → replay pipeline with
-  results served from a content-addressed store.  Parallel output is
-  bit-identical to a serial run by construction.
+* :func:`~repro.orchestration.sweep.sweep_experiments` — the one way
+  to run a sweep: figures replay from a content-addressed store, and an
+  optional executor (serial, process pool, distributed) first runs the
+  points :func:`~repro.orchestration.sweep.plan_units` found missing.
+  Output is bit-identical to a serial run by construction.
 * :func:`~repro.orchestration.request.parse_target` — parser for the
   ``--target {local,process[:N],HOST:PORT}`` execution spec shared by
   every CLI verb.
@@ -25,7 +25,7 @@ Public surface:
 """
 
 from .cache import PersistentAloneRunCache, ResultCache, result_from_dict, result_to_dict
-from .executors import Executor, ProcessPoolExecutor, SerialExecutor, default_executor
+from .executors import Executor, ProcessPoolExecutor, SerialExecutor
 from .keys import SCHEMA_VERSION, point_key
 from .report import canonical_data, dump_json, format_experiment, format_stats, format_sweep
 from .request import (
@@ -43,12 +43,12 @@ from .sweep import (
     SimulationUnit,
     execute_units,
     filter_run_kwargs,
-    installed_backend,
     open_store,
     persistent_alone_cache,
     plan_experiment,
+    plan_units,
+    replay,
     resolve_experiment,
-    run_experiment,
     supported_run_kwargs,
     sweep_experiments,
 )
@@ -70,23 +70,22 @@ __all__ = [
     "SweepResult",
     "SweepStats",
     "canonical_data",
-    "default_executor",
     "dump_json",
     "execute_units",
     "filter_run_kwargs",
     "format_experiment",
     "format_stats",
     "format_sweep",
-    "installed_backend",
     "open_store",
     "parse_target",
     "persistent_alone_cache",
     "plan_experiment",
+    "plan_units",
     "point_key",
+    "replay",
     "resolve_experiment",
     "result_from_dict",
     "result_to_dict",
-    "run_experiment",
     "supported_run_kwargs",
     "sweep_experiments",
 ]

@@ -7,11 +7,17 @@ to the result store (content-addressed, so completion order and even
 duplicate commits are irrelevant), and the replay phase then produces
 output bit-identical to a serial run.
 
+A result store is any object with ``get(key)``, ``contains(key)`` and
+``put(key, result, figure=None)``; ``figure`` is an informational label
+that never enters the key.
+
 Built-ins:
 
-* :class:`SerialExecutor` — one point after another, in-process.
-* :class:`ProcessPoolExecutor` — a local ``multiprocessing`` pool (the
-  historical ``--jobs N`` behaviour, and still the default).
+* :class:`SerialExecutor` — one point after another, in-process
+  (``--target local`` runs without an executor, see
+  :func:`~repro.orchestration.sweep.sweep_experiments`).
+* :class:`ProcessPoolExecutor` — a local ``multiprocessing`` pool
+  (``--target process[:N]``).
 * :class:`~repro.distributed.DistributedExecutor` (in
   :mod:`repro.distributed`) — shards points across worker processes on
   any machines via the coordinator/worker protocol.
@@ -19,48 +25,15 @@ Built-ins:
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..cpu.trace import Trace
 from ..sim.config import SimulationConfig
 from ..sim.runner import simulate_direct
 from ..sim.system import System
-
-#: Memo of which store types accept a ``figure`` keyword on ``put``
-#: (see :func:`store_put`), keyed by store class.
-_FIGURE_AWARE: Dict[type, bool] = {}
-
-
-def store_put(store, key: str, result, figure: Optional[str] = None) -> None:
-    """Commit one result, passing the figure label only to stores that
-    take it.
-
-    Stores are a duck-typed surface (the persistent cache, the in-memory
-    store, test doubles with a bare two-argument ``put``), so the figure
-    attribution added for ``repro cache`` breakdowns must degrade to a
-    plain ``put`` instead of breaking older stores.
-    """
-    if figure is not None:
-        cls = type(store)
-        aware = _FIGURE_AWARE.get(cls)
-        if aware is None:
-            try:
-                parameters = inspect.signature(store.put).parameters
-                aware = "figure" in parameters or any(
-                    parameter.kind is inspect.Parameter.VAR_KEYWORD
-                    for parameter in parameters.values()
-                )
-            except (TypeError, ValueError):
-                aware = False
-            _FIGURE_AWARE[cls] = aware
-        if aware:
-            store.put(key, result, figure=figure)
-            return
-    store.put(key, result)
 
 
 class Executor:
@@ -94,7 +67,7 @@ class SerialExecutor(Executor):
                 result = simulate_direct(unit.traces, unit.config)
             seconds = perf_counter() - start
             telemetry.observe("executor.point_seconds", seconds)
-            store_put(store, unit.key, result, figure)
+            store.put(unit.key, result, figure=figure)
             telemetry.counter("executor.points_finished")
             telemetry.emit("point.done", point=unit.key, figure=figure, seconds=seconds)
             executed += 1
@@ -144,7 +117,7 @@ class ProcessPoolExecutor(Executor):
                 ):
                     telemetry.observe("executor.point_seconds", seconds)
                     telemetry.merge_into_process(child_snapshot)
-                    store_put(store, key, result, figures.get(key))
+                    store.put(key, result, figure=figures.get(key))
                     telemetry.counter("executor.points_finished")
                     telemetry.emit(
                         "point.done", point=key, figure=figures.get(key), seconds=seconds
@@ -153,7 +126,3 @@ class ProcessPoolExecutor(Executor):
             return SerialExecutor().execute(units, store)
         return len(units)
 
-
-def default_executor(jobs: int) -> Executor:
-    """The executor ``--jobs N`` historically implied."""
-    return ProcessPoolExecutor(jobs) if jobs > 1 else SerialExecutor()

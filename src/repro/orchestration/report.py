@@ -71,7 +71,7 @@ def canonical_data(results):
 def dump_json(results, destination: str | Path) -> None:
     """Write the raw experiment data dicts as JSON (``-`` for stdout).
 
-    Accepts the legacy plain dict or any mapping (a
+    Accepts any mapping of figure label → data dict (a plain dict, or a
     :class:`~repro.orchestration.request.SweepResult`); the payload is
     canonicalised (see :func:`canonical_data`) so exports are
     byte-identical whether results were computed locally or fetched

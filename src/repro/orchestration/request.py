@@ -1,20 +1,16 @@
 """The public sweep API: one frozen request object as the single currency.
 
-Historically every layer threaded its own ad-hoc kwargs (``jobs=``,
-``engine=``, ``full=``, ``instructions=`` …) from the CLI through
-``sweep_experiments`` down to executors and manifests.  A submit/poll
-service cannot tolerate that: the request must be a *value* — hashable,
-serialisable, validated once at the edge — that travels unchanged
-through :func:`~repro.orchestration.sweep.sweep_experiments`, the
-daemon protocol, and run manifests.
+The request is a *value* — hashable, serialisable, validated once at
+the edge — that travels unchanged from the CLI through
+:func:`~repro.orchestration.sweep.sweep_experiments`, the daemon
+protocol and run manifests.  Where the points execute is not part of
+it: that is the ``--target`` spec.
 
 * :class:`SweepRequest` — frozen, normalised description of a sweep
   (which figures, at what scale, on which engine, with what service
   priority).
 * :class:`SweepResult` — the figure-label → data-dict mapping plus the
-  request and orchestration stats that produced it.  It *is* a
-  ``Mapping``, so existing code that iterates the old plain dict keeps
-  working.
+  request and orchestration stats that produced it.
 * :func:`parse_target` — the one parser for the ``--target`` execution
   spec (``local``, ``process[:N]``, ``HOST:PORT``) shared by every CLI
   verb.
@@ -132,7 +128,12 @@ class SweepRequest:
 
 @dataclass
 class SweepStats:
-    """Bookkeeping of one orchestrated run (for reporting)."""
+    """Bookkeeping of one sweep (for reporting).
+
+    ``planned`` counts the distinct points the sweep's figures read;
+    ``executed`` those simulated this run and ``reused`` those the store
+    already held.
+    """
 
     planned: int = 0
     executed: int = 0
@@ -154,9 +155,7 @@ class SweepStats:
 class SweepResult(Mapping):
     """Outcome of one sweep: data dicts plus the request and stats.
 
-    Behaves as a read-only mapping of figure label → data dict so code
-    written against the legacy ``sweep_experiments`` return type (a
-    plain dict) works unchanged on the new return type.
+    Behaves as a read-only mapping of figure label → data dict.
     """
 
     request: SweepRequest
@@ -180,14 +179,6 @@ class ExecutionTarget:
     kind: str  # "local" | "process" | "service"
     jobs: int = 1
     address: Optional[Tuple[str, int]] = None
-
-    def describe(self) -> str:
-        if self.kind == "local":
-            return "local"
-        if self.kind == "process":
-            return f"process:{self.jobs}"
-        host, port = self.address  # type: ignore[misc]
-        return f"{host}:{port}"
 
 
 def parse_target(text: str) -> ExecutionTarget:

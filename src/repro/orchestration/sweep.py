@@ -1,38 +1,41 @@
-"""Parallel experiment orchestration.
+"""Experiment orchestration: plan, execute, replay.
 
 An experiment (one paper figure/section) is a pure function of a set of
 *simulation points* — independent ``(traces, config)`` pairs — plus
-deterministic arithmetic that merges their results into tables.  The
-orchestrator exploits that structure in three phases:
+deterministic arithmetic that merges their results into tables.  A sweep
+has up to three phases:
 
-1. **Plan.**  Run the experiment once with a :class:`PlanningBackend`
-   installed: every simulation the experiment would execute is recorded
-   (keyed by content hash) and answered with a cheap structurally-valid
-   stub.  Experiments' control flow never depends on simulated values
-   (sweeps are static), so planning enumerates exactly the points the
-   real run needs, at trace-generation cost only.
-2. **Execute.**  Simulate the points that are not already in the result
-   store on a ``multiprocessing`` pool.  Workers are pure: one point in,
-   one :class:`~repro.sim.results.SimulationResult` out.  Completion
+1. **Plan** (:func:`plan_units`).  Run each experiment once with a
+   :class:`PlanningBackend` installed: every simulation the experiment
+   would execute is recorded (keyed by content hash) and answered with a
+   cheap structurally-valid stub.  Experiments' control flow never
+   depends on simulated values (sweeps are static), so planning
+   enumerates exactly the points the real run needs, at
+   trace-generation cost only.
+2. **Execute** (:func:`execute_units`).  Hand the points that are not
+   already in the result store to an :class:`~.executors.Executor`:
+   serial, a local process pool or a distributed fleet.  Completion
    order does not matter because results land in a content-addressed
    store.
-3. **Replay.**  Run the experiment again with a
-   :class:`CacheServingBackend` installed, so every simulation is a
-   cache hit.  Because the replay *is* the serial code path, merging is
-   deterministic and the output is bit-identical to a serial run.
+3. **Replay** (:func:`replay`).  Run the experiments again with a
+   :class:`CacheServingBackend` installed, so every simulation is served
+   from the store.  Because the replay *is* the serial code path,
+   merging is deterministic and the output is bit-identical to a serial
+   run.
 
-With ``jobs=1`` the plan phase is skipped and the experiment simply runs
-through the cache-serving backend, populating the store as it goes.
+:func:`sweep_experiments` runs all three when given an executor.
+Without one it only replays, and the cache-serving backend simulates
+its own misses, so a warm sweep is one pass.  The sweep service
+(:class:`~repro.distributed.service.SweepService`) calls the same
+:func:`plan_units` and :func:`replay` around its worker fleet.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..cpu.trace import Trace
@@ -44,7 +47,7 @@ from ..sim.runner import AloneRunCache
 from ..telemetry.manifest import new_run_id
 from ..telemetry.trace import TraceJournal, traces_dir
 from .cache import PersistentAloneRunCache, ResultCache
-from .executors import Executor, default_executor, store_put
+from .executors import Executor
 from .keys import point_key
 from .request import SweepRequest, SweepResult, SweepStats
 
@@ -180,23 +183,22 @@ class PlanningBackend:
 class CacheServingBackend:
     """Serves simulations from a result store, computing (and storing) misses.
 
-    ``figure`` (mutable between replays) attributes entries computed
-    during the replay itself — jobs=1 runs never go through an executor,
-    so this is where their figure labels come from.
+    ``figure`` (mutable between figures) labels the points the replay
+    reads and the entries it computes itself.
     """
 
     provides_real_results = True
 
     def __init__(self, store) -> None:
         self.store = store
-        self.served = 0
-        self.computed = 0
         self.figure: Optional[str] = None
-        #: Per-key provenance of this replay: ``"simulated"`` when the
-        #: backend computed the point, ``"replayed"`` on a store hit.  A
-        #: key served after being computed keeps ``simulated`` — what the
-        #: point cost this run is what provenance records.
+        #: The distinct keys this replay read, in first-read order:
+        #: ``"simulated"`` when the backend computed the point,
+        #: ``"replayed"`` on a store hit.  A key served after being
+        #: computed keeps ``simulated`` — what the point cost this run is
+        #: what provenance records.
         self.points: Dict[str, str] = {}
+        #: The figure that first read each key.
         self.figures: Dict[str, Optional[str]] = {}
 
     def __call__(self, traces: Sequence[Trace], config: SimulationConfig) -> SimulationResult:
@@ -206,48 +208,28 @@ class CacheServingBackend:
         if result is None:
             telemetry.emit("point.start", point=key, figure=self.figure)
             result = sim_runner.simulate_direct(traces, config)
-            store_put(self.store, key, result, self.figure)
-            self.computed += 1
+            self.store.put(key, result, figure=self.figure)
             self.points[key] = "simulated"
             self.figures[key] = self.figure
             telemetry.emit("point.done", point=key, figure=self.figure)
-        else:
-            self.served += 1
-            if key not in self.points:
-                self.points[key] = "replayed"
-                self.figures[key] = self.figure
+        elif key not in self.points:
+            self.points[key] = "replayed"
+            self.figures[key] = self.figure
         return result
-
-
-@contextmanager
-def installed_backend(backend):
-    """Temporarily route :func:`repro.sim.runner.simulate_traces` to ``backend``.
-
-    Thin wrapper over :func:`repro.sim.runner.simulation_backend` (the
-    scoped installer both the orchestrator and the CLI use) kept under
-    its historical name.
-    """
-    with sim_runner.simulation_backend(backend) as installed:
-        yield installed
 
 
 # ----------------------------------------------------------------- experiments
 
 
 def resolve_experiment(experiment):
-    """Accept an experiment id (``"fig6"``), a module basename
-    (``"fig06_dualcore_performance"``, the label :func:`sweep_experiments`
-    assigns when given a module) or an experiment module, and return the
-    module."""
+    """Accept an experiment id (``"fig6"``) or an experiment module, and
+    return the module."""
     if isinstance(experiment, str):
         from ..experiments import EXPERIMENTS
 
         key = experiment.lower()
         if key in EXPERIMENTS:
             return EXPERIMENTS[key]
-        for module in EXPERIMENTS.values():
-            if module.__name__.rsplit(".", 1)[-1] == key:
-                return module
         raise KeyError(
             f"unknown experiment {experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
@@ -265,171 +247,126 @@ def filter_run_kwargs(module, kwargs: Dict) -> Dict:
     return {name: value for name, value in kwargs.items() if name in supported}
 
 
-def plan_experiment(experiment, label: Optional[str] = None, **kwargs) -> List[SimulationUnit]:
+def _run_figure(module, kwargs: Dict) -> Dict:
+    """``module.run`` with the kwargs it accepts and a fresh alone-run cache.
+
+    Fresh per figure, so every alone run a figure needs reaches the
+    installed backend: the planner records it and the replay reads it,
+    whatever other figures looked up before.
+    """
+    call_kwargs = filter_run_kwargs(module, kwargs)
+    if "cache" in supported_run_kwargs(module):
+        call_kwargs["cache"] = AloneRunCache()
+    return module.run(**call_kwargs)
+
+
+def plan_experiment(experiment, **kwargs) -> List[SimulationUnit]:
     """Enumerate the simulation points ``experiment`` needs, without simulating.
 
-    ``label`` tags the recorded units with the planning experiment (see
-    :attr:`SimulationUnit.figure`); it defaults to the experiment id when
-    one was given as a string.
+    An experiment given by id labels its units with that id (see
+    :attr:`SimulationUnit.figure`).
     """
     module = resolve_experiment(experiment)
-    if label is None and isinstance(experiment, str):
-        label = experiment
-    call_kwargs = filter_run_kwargs(module, kwargs)
-    # A fresh alone-run cache forces every alone run to reach the backend
-    # (a shared cache would hide points it already holds in memory).
-    call_kwargs["cache"] = AloneRunCache()
-    backend = PlanningBackend(label=label)
-    with installed_backend(backend):
-        module.run(**call_kwargs)
+    backend = PlanningBackend(label=experiment if isinstance(experiment, str) else None)
+    with sim_runner.simulation_backend(backend):
+        _run_figure(module, kwargs)
     return list(backend.units.values())
+
+
+def plan_units(labels: Iterable[str], **kwargs) -> Dict[str, SimulationUnit]:
+    """The distinct simulation points of the experiments ``labels``.
+
+    Keyed by content key; a point shared by several figures keeps the
+    first planner's label.
+    """
+    units: Dict[str, SimulationUnit] = {}
+    for label in labels:
+        for unit in plan_experiment(label, **kwargs):
+            units.setdefault(unit.key, unit)
+    return units
+
+
+def replay(
+    labels: Iterable[str], store, **kwargs
+) -> Tuple[Dict[str, Dict], CacheServingBackend]:
+    """Run the experiments ``labels`` with every simulation served from ``store``.
+
+    Points missing from the store are simulated on this thread and
+    committed.  Returns the figure label → data dict mapping and the
+    backend, whose ``points``/``figures`` record the distinct keys read.
+    """
+    backend = CacheServingBackend(store)
+    data: Dict[str, Dict] = {}
+    with sim_runner.simulation_backend(backend):
+        for label in labels:
+            backend.figure = label
+            with telemetry.registry().time(f"sweep.figure_seconds.{label}"):
+                data[label] = _run_figure(resolve_experiment(label), kwargs)
+    return data, backend
 
 
 # ----------------------------------------------------------------- execution
 
 
-def execute_units(
-    units: Iterable[SimulationUnit], store, jobs: int = 1, executor: Optional[Executor] = None
-) -> int:
-    """Simulate every unit missing from ``store``; returns how many ran.
+def execute_units(units: Iterable[SimulationUnit], store, executor: Executor) -> int:
+    """Simulate every unit missing from ``store`` on ``executor``; returns
+    how many ran.
 
-    The simulation itself is delegated to an :class:`Executor`
-    (``executor``, or the :func:`default_executor` implied by ``jobs``:
-    a local process pool for ``jobs > 1``, serial otherwise).  Every
-    executor commits into the same content-addressed store, so replay
-    output never depends on which executor ran the points.
-
+    Every executor commits into the same content-addressed store, so
+    replay output never depends on which executor ran the points.
     Pending-ness is decided with ``get`` rather than ``contains`` so an
     unreadable/corrupt cache entry counts as missing and is recomputed
-    here (in parallel), not silently during the serial replay.  The
-    deserialised results stay memoized, so the replay pays nothing extra.
+    here, not silently during the serial replay.  The deserialised
+    results stay memoized, so the replay pays nothing extra.
     """
     pending = [unit for unit in units if store.get(unit.key) is None]
     if not pending:
         return 0
-    if executor is None:
-        executor = default_executor(jobs)
     return executor.execute(pending, store)
 
 
-# ----------------------------------------------------------------- entry points
+# ----------------------------------------------------------------- entry point
 
-
-_LEGACY_CALL_WARNING = (
-    "passing experiment lists and loose kwargs to run_experiment/"
-    "sweep_experiments is deprecated; pass a SweepRequest instead"
-)
 
 #: Request fields that must not also arrive as loose kwargs alongside a
 #: :class:`SweepRequest` — the request is the single source of truth.
 _REQUEST_OWNED_KWARGS = frozenset({"instructions", "full", "engine"})
 
 
-def run_experiment(
-    experiment,
-    jobs: int = 1,
-    store=None,
-    cache: Optional[AloneRunCache] = None,
-    stats: Optional[SweepStats] = None,
-    executor: Optional[Executor] = None,
-    **kwargs,
-) -> Union[SweepResult, Dict]:
-    """Run one experiment through the orchestrator.
-
-    Given a :class:`SweepRequest` (the public API), returns a
-    :class:`SweepResult`.  Given a bare experiment id/module plus loose
-    kwargs (the deprecated legacy form), returns that experiment's raw
-    data dict, exactly as before.
+def sweep_experiments(
+    request: SweepRequest, store=None, executor: Optional[Executor] = None, **module_kwargs
+) -> SweepResult:
+    """Run the experiments of ``request`` as one batch over a result store.
 
     ``store`` is a result store (:class:`ResultCache` for persistence,
     :class:`InMemoryResultStore` or ``None`` for process-local reuse);
-    ``cache`` optionally overrides the alone-run cache used by the replay;
-    ``executor`` selects the execution backend (see :mod:`.executors`).
-    The returned data is bit-identical to calling ``module.run`` serially.
+    ``module_kwargs`` (e.g. ``apps=``) pass through to every experiment
+    module that accepts them.  Points shared between figures (alone runs,
+    or fig9 reusing fig6's simulations) are simulated at most once across
+    the batch.
+
+    With an ``executor`` — serial, local process pool or
+    :class:`~repro.distributed.DistributedExecutor` — the sweep plans,
+    lets the executor run the missing points, then replays; without one
+    the replay simulates its own misses.  Either way the data dicts are
+    bit-identical to calling each ``module.run`` serially, and the stats
+    count the distinct points the replay read.
     """
-    if isinstance(experiment, SweepRequest):
-        return sweep_experiments(
-            experiment, jobs=jobs, store=store, cache=cache, stats=stats,
-            executor=executor, **kwargs,
+    if not isinstance(request, SweepRequest):
+        raise TypeError(f"sweep_experiments takes a SweepRequest, got {type(request).__name__}")
+    owned = _REQUEST_OWNED_KWARGS.intersection(module_kwargs)
+    if owned:
+        raise TypeError(
+            f"{sorted(owned)} are owned by the SweepRequest; "
+            "set them on the request, not as kwargs"
         )
-    warnings.warn(_LEGACY_CALL_WARNING, DeprecationWarning, stacklevel=2)
-    results = _sweep(
-        [experiment], jobs=jobs, store=store, cache=cache, stats=stats or SweepStats(),
-        executor=executor, **kwargs,
-    )
-    return next(iter(results.values()))
-
-
-def sweep_experiments(
-    experiments: Union[SweepRequest, Sequence],
-    jobs: int = 1,
-    store=None,
-    cache: Optional[AloneRunCache] = None,
-    stats: Optional[SweepStats] = None,
-    executor: Optional[Executor] = None,
-    **kwargs,
-) -> Union[SweepResult, Dict[str, Dict]]:
-    """Run several experiments as one batch with shared planning and caching.
-
-    The public form takes a :class:`SweepRequest` and returns a
-    :class:`SweepResult` (a mapping of figure label → data dict carrying
-    the request and orchestration stats).  The deprecated legacy form
-    takes a sequence of experiment ids/modules plus loose kwargs and
-    returns the plain dict it always did.
-
-    Points shared between figures (e.g. alone runs, or fig9 reusing
-    fig6's simulations) are deduplicated by content key and simulated at
-    most once across the whole batch.
-
-    Passing ``executor`` (or ``jobs > 1``) selects the plan → execute →
-    replay pipeline, with the executor — serial, local process pool or
-    :class:`~repro.distributed.DistributedExecutor` — running the
-    missing points; otherwise the experiments simply run through the
-    cache-serving backend, populating the store as they go.
-    """
-    if isinstance(experiments, SweepRequest):
-        request = experiments
-        owned = _REQUEST_OWNED_KWARGS.intersection(kwargs)
-        if owned:
-            raise TypeError(
-                f"{sorted(owned)} are owned by the SweepRequest; "
-                "set them on the request, not as kwargs"
-            )
-        stats = stats if stats is not None else SweepStats()
-        run_kwargs = dict(request.run_kwargs())
-        run_kwargs.update(kwargs)
-        with sim_runner.engine_override(request.engine):
-            data = _sweep(
-                request.experiments, jobs=jobs, store=store, cache=cache,
-                stats=stats, executor=executor, **run_kwargs,
-            )
-        return SweepResult(request=request, data=data, stats=stats)
-    warnings.warn(_LEGACY_CALL_WARNING, DeprecationWarning, stacklevel=2)
-    return _sweep(
-        experiments, jobs=jobs, store=store, cache=cache, stats=stats or SweepStats(),
-        executor=executor, **kwargs,
-    )
-
-
-def _sweep(
-    experiments: Sequence,
-    jobs: int,
-    store,
-    cache: Optional[AloneRunCache],
-    stats: SweepStats,
-    executor: Optional[Executor],
-    **kwargs,
-) -> Dict[str, Dict]:
-    """The plan → execute → replay pipeline shared by both entry forms."""
+    kwargs = dict(request.run_kwargs(), **module_kwargs)
+    labels = list(request.experiments)
+    for label in labels:
+        resolve_experiment(label)
     store = store if store is not None else InMemoryResultStore()
+    stats = SweepStats()
     sweep_start = perf_counter()
-
-    labeled = []
-    for experiment in experiments:
-        module = resolve_experiment(experiment)
-        label = experiment if isinstance(experiment, str) else module.__name__.rsplit(".", 1)[-1]
-        labeled.append((label, module))
-    labels = [label for label, _ in labeled]
 
     # The run id is minted *before* anything executes so the event
     # journal, the cache entries written by this run and the manifest
@@ -446,70 +383,38 @@ def _sweep(
         store.run_context = run_id
     telemetry.emit("run.start", run=run_id, figures=labels)
     try:
-        orchestrated = executor is not None or jobs > 1
-        if orchestrated:
-            telemetry.emit("phase.start", phase="plan", run=run_id)
-            units: Dict[str, SimulationUnit] = {}
-            for label, module in labeled:
-                for unit in plan_experiment(module, label=label, **kwargs):
-                    units.setdefault(unit.key, unit)
-            stats.planned = len(units)
-            telemetry.counter("sweep.points_planned", stats.planned)
-            telemetry.emit(
-                "phase.end", phase="plan", run=run_id, points=stats.planned
-            )
-            warm = {key for key in units if store.contains(key)}
-            telemetry.emit("phase.start", phase="execute", run=run_id)
-            stats.executed = execute_units(units.values(), store, jobs=jobs, executor=executor)
-            stats.reused = stats.planned - stats.executed
-            telemetry.emit(
-                "phase.end", phase="execute", run=run_id,
-                executed=stats.executed, reused=stats.reused,
-            )
-            for key, unit in units.items():
-                if key in warm:
-                    origin = (
-                        store.entry_meta(key).get("run")
-                        if hasattr(store, "entry_meta") else None
-                    )
-                    stats.points[key] = {
-                        "state": "replayed", "figure": unit.figure, "run": origin
-                    }
-                    telemetry.emit(
-                        "point.replay", point=key, figure=unit.figure, run=origin
-                    )
-                else:
-                    stats.points[key] = {
-                        "state": "simulated", "figure": unit.figure, "run": run_id
-                    }
-
-        backend = CacheServingBackend(store)
-        results: Dict[str, Dict] = {}
-        telemetry.emit("phase.start", phase="replay", run=run_id)
-        with installed_backend(backend):
-            for label, module in labeled:
-                backend.figure = label
-                call_kwargs = filter_run_kwargs(module, kwargs)
-                if "cache" in supported_run_kwargs(module):
-                    call_kwargs["cache"] = cache if cache is not None else AloneRunCache()
-                with telemetry.registry().time(f"sweep.figure_seconds.{label}"):
-                    results[label] = module.run(**call_kwargs)
-        telemetry.emit("phase.end", phase="replay", run=run_id)
-        if not orchestrated:
-            stats.planned = backend.served + backend.computed
-            stats.executed = backend.computed
-            stats.reused = backend.served
-            for key, state in backend.points.items():
-                figure = backend.figures.get(key)
-                if state == "replayed":
-                    origin = (
-                        store.entry_meta(key).get("run")
-                        if hasattr(store, "entry_meta") else None
-                    )
-                    telemetry.emit("point.replay", point=key, figure=figure, run=origin)
-                else:
-                    origin = run_id
-                stats.points[key] = {"state": state, "figure": figure, "run": origin}
+        with sim_runner.engine_override(request.engine):
+            # Keys the executor simulates this run: the replay then finds
+            # them in the store, but the stats must count them as executed.
+            ran: Iterable[str] = ()
+            if executor is not None:
+                telemetry.emit("phase.start", phase="plan", run=run_id)
+                units = plan_units(labels, **kwargs)
+                telemetry.counter("sweep.points_planned", len(units))
+                telemetry.emit("phase.end", phase="plan", run=run_id, points=len(units))
+                ran = {key for key in units if not store.contains(key)}
+                telemetry.emit("phase.start", phase="execute", run=run_id)
+                executed = execute_units(units.values(), store, executor=executor)
+                telemetry.emit(
+                    "phase.end", phase="execute", run=run_id,
+                    executed=executed, reused=len(units) - executed,
+                )
+            telemetry.emit("phase.start", phase="replay", run=run_id)
+            data, backend = replay(labels, store, **kwargs)
+            telemetry.emit("phase.end", phase="replay", run=run_id)
+        for key, state in backend.points.items():
+            figure = backend.figures[key]
+            if state == "replayed" and key not in ran:
+                origin = (
+                    store.entry_meta(key).get("run") if hasattr(store, "entry_meta") else None
+                )
+                telemetry.emit("point.replay", point=key, figure=figure, run=origin)
+            else:
+                state, origin = "simulated", run_id
+            stats.points[key] = {"state": state, "figure": figure, "run": origin}
+        stats.planned = len(stats.points)
+        stats.executed = sum(point["state"] == "simulated" for point in stats.points.values())
+        stats.reused = stats.planned - stats.executed
         stats.elapsed = perf_counter() - sweep_start
         telemetry.counter("sweep.runs")
         telemetry.observe("sweep.seconds", stats.elapsed)
@@ -517,7 +422,7 @@ def _sweep(
             "run.end", run=run_id, planned=stats.planned,
             executed=stats.executed, reused=stats.reused, seconds=stats.elapsed,
         )
-        return results
+        return SweepResult(request=request, data=data, stats=stats)
     finally:
         if had_run_context:
             store.run_context = previous_run_context

@@ -137,23 +137,6 @@ class SimulationConfig:
             drstrange=DRStrangeConfig(),
         )
 
-    def cache_key(self) -> tuple:
-        """Hashable key of the parameters that affect an alone run."""
-        return (
-            self.trng_name,
-            self.trng_throughput_mbps,
-            self.scheduler,
-            self.scheduler_cap,
-            self.timing.name,
-            self.organization.channels,
-            self.organization.banks_per_rank,
-            self.core.issue_width,
-            self.core.window_size,
-            self.core.clock_ratio,
-            self.controller.backend_latency,
-            self.controller.rng_mode_switch_penalty,
-        )
-
 
 def baseline_config(**overrides) -> SimulationConfig:
     """The RNG-oblivious baseline system configuration."""

@@ -289,7 +289,12 @@ class WorkloadEvaluation:
 
 
 class AloneRunCache:
-    """Cache of single-application "alone" runs keyed by trace + config."""
+    """Cache of single-application "alone" runs keyed by trace + config.
+
+    The key is the trace's name, its full metadata and its instruction
+    count, plus the complete alone-run configuration, so a run is served
+    only to configs that would simulate exactly that run.
+    """
 
     def __init__(self) -> None:
         self._cache: Dict[tuple, Tuple[CoreResult, SimulationResult]] = {}
@@ -302,11 +307,9 @@ class AloneRunCache:
         alone_config = config.alone_run_config()
         key = (
             trace.name,
-            trace.metadata.get("seed"),
-            trace.metadata.get("row_offset"),
-            trace.metadata.get("throughput_mbps"),
+            tuple(sorted(trace.metadata.items())),
             trace.total_instructions,
-            alone_config.cache_key(),
+            alone_config,
         )
         if key in self._cache:
             self.hits += 1

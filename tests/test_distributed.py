@@ -46,10 +46,11 @@ from repro.orchestration import (
     ResultCache,
     SerialExecutor,
     SimulationUnit,
+    SweepRequest,
     execute_units,
     plan_experiment,
     point_key,
-    run_experiment,
+    sweep_experiments,
 )
 from repro.sim import checkpoint
 from repro.sim.config import baseline_config, drstrange_config
@@ -490,10 +491,10 @@ class TestDistributedSweep:
     def test_distributed_matches_serial_exactly(self, tmp_path, serial_data):
         store = ResultCache(tmp_path)
         executor = DistributedExecutor(spawn_workers=2, timeout=300)
-        data = run_experiment(
-            "fig6", store=store, executor=executor,
-            apps=representative_subset(2), **self.KWARGS,
-        )
+        data = sweep_experiments(
+            SweepRequest("fig6", **self.KWARGS), store=store, executor=executor,
+            apps=representative_subset(2),
+        )["fig6"]
         assert json.dumps(data, sort_keys=True) == json.dumps(serial_data, sort_keys=True)
         assert executor.last_coordinator.results_committed > 0
 
@@ -526,9 +527,9 @@ class TestDistributedSweep:
 
         for unit in units:
             assert store.get(unit.key) is not None
-        replayed = run_experiment(
-            "fig6", store=store, apps=representative_subset(2), **self.KWARGS
-        )
+        replayed = sweep_experiments(
+            SweepRequest("fig6", **self.KWARGS), store=store, apps=representative_subset(2)
+        )["fig6"]
         assert json.dumps(replayed, sort_keys=True) == json.dumps(serial_data, sort_keys=True)
 
     def test_sigkilled_checkpointing_worker_resumes_not_restarts(self, tmp_path, serial_data):
@@ -576,9 +577,9 @@ class TestDistributedSweep:
                 rescuer.kill()
             coordinator.stop()
 
-        replayed = run_experiment(
-            "fig6", store=store, apps=representative_subset(2), **self.KWARGS
-        )
+        replayed = sweep_experiments(
+            SweepRequest("fig6", **self.KWARGS), store=store, apps=representative_subset(2)
+        )["fig6"]
         assert json.dumps(replayed, sort_keys=True) == json.dumps(serial_data, sort_keys=True)
 
     def test_executor_raises_when_points_cannot_complete(self):
@@ -678,7 +679,7 @@ class _BlockingFailingStore:
     def get(self, key):
         return None
 
-    def put(self, key, result):
+    def put(self, key, result, figure=None):
         self.entered.set()
         if not self.release.wait(timeout=10):  # pragma: no cover - safety net
             raise AssertionError("fault-injection store never released")

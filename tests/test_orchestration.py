@@ -12,18 +12,23 @@ from repro.experiments import fig06_dualcore_performance as fig6
 from repro.orchestration import (
     InMemoryResultStore,
     PersistentAloneRunCache,
+    ProcessPoolExecutor,
     ResultCache,
+    SerialExecutor,
+    SweepRequest,
     filter_run_kwargs,
     plan_experiment,
     point_key,
     result_from_dict,
     result_to_dict,
-    run_experiment,
+    sweep_experiments,
 )
 from repro.sim import runner as sim_runner
 from repro.sim.config import baseline_config
 from repro.sim.runner import AloneRunCache
 from repro.sim.system import System
+from repro.telemetry.events import isolated_bus
+from repro.telemetry.manifest import list_manifests
 from repro.workloads.suites import representative_subset
 
 
@@ -222,8 +227,6 @@ class TestPlanning:
         # fig10/fig11/fig13 vary DR-STRaNGe knobs that the alone runs
         # ignore: a plan with extra alone points would make a
         # distributed sweep simulate work the replay never reads.
-        from repro.orchestration import SweepRequest, sweep_experiments
-
         request = SweepRequest(experiments=(figure,), instructions=2_000)
         planned = {unit.key for unit in plan_experiment(figure, **request.run_kwargs())}
         serial = sweep_experiments(request, store=InMemoryResultStore())
@@ -234,14 +237,11 @@ class TestPlanning:
         filtered = filter_run_kwargs(fig6, kwargs)
         assert filtered == {"instructions": 10, "full": True}
 
-    def test_resolve_accepts_id_module_and_module_basename(self):
+    def test_resolve_accepts_id_and_module(self):
         from repro.orchestration import resolve_experiment
 
         assert resolve_experiment("fig6") is fig6
         assert resolve_experiment(fig6) is fig6
-        # sweep_experiments labels module inputs by basename; rendering
-        # helpers must resolve those labels too.
-        assert resolve_experiment("fig06_dualcore_performance") is fig6
         with pytest.raises(KeyError):
             resolve_experiment("fig99")
 
@@ -249,24 +249,62 @@ class TestPlanning:
 class TestSerialParallelEquivalence:
     def test_fig6_parallel_matches_serial_exactly(self, tmp_path):
         apps = representative_subset(2)
-        kwargs = dict(apps=apps, instructions=4_000)
-        serial = fig6.run(cache=AloneRunCache(), **kwargs)
+        serial = fig6.run(cache=AloneRunCache(), apps=apps, instructions=4_000)
 
+        request = SweepRequest("fig6", instructions=4_000)
         store = ResultCache(tmp_path)
-        parallel = run_experiment("fig6", jobs=2, store=store, **kwargs)
+        pool = ProcessPoolExecutor(jobs=2)
+        parallel = sweep_experiments(request, store=store, executor=pool, apps=apps)["fig6"]
         assert json.dumps(parallel, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
         # Warm replay from the populated store: nothing recomputed.
-        warm = run_experiment("fig6", jobs=2, store=store, **kwargs)
-        assert json.dumps(warm, sort_keys=True) == json.dumps(serial, sort_keys=True)
+        warm = sweep_experiments(request, store=store, executor=pool, apps=apps)
+        assert warm.stats.executed == 0
+        assert json.dumps(warm["fig6"], sort_keys=True) == json.dumps(serial, sort_keys=True)
 
     def test_in_memory_store_serial_path(self):
-        kwargs = dict(apps=representative_subset(2), instructions=2_000)
+        request = SweepRequest("fig6", instructions=2_000)
+        apps = representative_subset(2)
         store = InMemoryResultStore()
-        first = run_experiment("fig6", jobs=1, store=store, **kwargs)
-        second = run_experiment("fig6", jobs=1, store=store, **kwargs)
+        first = sweep_experiments(request, store=store, apps=apps)["fig6"]
+        second = sweep_experiments(request, store=store, apps=apps)["fig6"]
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
         assert store.hits > 0
+
+
+class TestSweepStats:
+    REQUEST = SweepRequest(("fig6", "fig9", "fig13"), instructions=5_000)
+
+    @staticmethod
+    def counts(result):
+        stats = result.stats
+        assert stats.planned == len(stats.points)
+        return stats.planned, stats.executed, stats.reused
+
+    def test_inline_and_executor_paths_count_distinct_points(self):
+        # fig9 replays fig6's points and every figure looks up shared alone
+        # runs again: the stats count each distinct point once, whichever
+        # path ran it.
+        inline = sweep_experiments(self.REQUEST, store=InMemoryResultStore())
+        executed = sweep_experiments(
+            self.REQUEST, store=InMemoryResultStore(), executor=SerialExecutor()
+        )
+        assert self.counts(inline) == self.counts(executed)
+        planned, ran, reused = self.counts(inline)
+        assert ran == planned and reused == 0
+        assert inline.stats.points.keys() == executed.stats.points.keys()
+
+    def test_warm_rerun_reuses_each_point_once(self):
+        store = InMemoryResultStore()
+        cold = sweep_experiments(self.REQUEST, store=store)
+        with isolated_bus() as bus:
+            events = bus.subscribe()
+            warm = sweep_experiments(self.REQUEST, store=store)
+            replays = 0
+            while not events.empty():
+                replays += events.get_nowait()["kind"] == "point.replay"
+        assert self.counts(warm) == (cold.stats.planned, 0, cold.stats.planned)
+        assert warm.stats.reused == replays
 
 
 class TestCLI:
@@ -293,7 +331,7 @@ class TestCLI:
     def test_jobs_validation(self, capsys):
         from repro.__main__ import main
 
-        assert main(["fig5", "--jobs", "0", "--no-cache"]) == 2
+        assert main(["fig5", "--target", "process:0", "--no-cache"]) == 2
 
     def test_json_to_stdout_is_pipeable(self, capsys):
         from repro.__main__ import main
@@ -306,10 +344,10 @@ class TestCLI:
         assert payload["fig5"]["figure"] == "5"
         assert "Figure 5" in captured.err
 
-    def test_executor_serial_flag_runs_orchestrated(self, tmp_path, capsys):
+    def test_target_local_manifest_records_serial(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        # `--target local` is the serial executor's spelling.
+        # `--target local` runs serially in this process, with no executor.
         code = main(
             ["fig5", "--instructions", "2000", "--target", "local",
              "--cache-dir", str(tmp_path / "cache")]
@@ -317,8 +355,9 @@ class TestCLI:
         assert code == 0
         captured = capsys.readouterr()
         assert "Figure 5" in captured.out
-        # The plan → execute → replay pipeline ran (points were planned).
         assert "simulation points" in captured.err
+        [manifest] = list_manifests(tmp_path / "cache")
+        assert manifest["executor"] == "serial"
 
     def test_cache_subcommand_stats_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -419,37 +458,18 @@ class TestParseTarget:
 
 
 class TestRequestDrivenSweep:
-    def test_request_sweep_matches_legacy_call(self):
-        from repro.orchestration import SweepRequest, SweepResult, sweep_experiments
+    def test_request_sweep_returns_result_with_stats(self):
+        from repro.orchestration import SweepResult
 
         request = SweepRequest(experiments=("fig6",), instructions=1500)
         result = sweep_experiments(request, store=InMemoryResultStore())
         assert isinstance(result, SweepResult)
         assert result.request is request
         assert result.stats.planned > 0
-        with pytest.warns(DeprecationWarning):
-            legacy = sweep_experiments(
-                ["fig6"], store=InMemoryResultStore(), instructions=1500
-            )
-        assert dict(result) == legacy
-
-    def test_run_experiment_accepts_request_and_legacy_form(self):
-        from repro.orchestration import SweepRequest, SweepResult
-
-        result = run_experiment(
-            SweepRequest(experiments=("fig6",), instructions=1500),
-            store=InMemoryResultStore(),
-        )
-        assert isinstance(result, SweepResult)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_experiment(
-                "fig6", store=InMemoryResultStore(), instructions=1500
-            )
-        assert result["fig6"] == legacy
+        assert list(result) == ["fig6"]
+        assert result["fig6"] == fig6.run(cache=AloneRunCache(), instructions=1500)
 
     def test_request_owned_kwargs_cannot_be_overridden(self):
-        from repro.orchestration import SweepRequest, sweep_experiments
-
         request = SweepRequest(experiments=("fig6",), instructions=1500)
         with pytest.raises(TypeError, match="instructions"):
             sweep_experiments(request, store=InMemoryResultStore(), instructions=99)
@@ -475,6 +495,14 @@ class TestTargetCLI:
         from repro.__main__ import main
 
         assert main(["fig5", "--target", "nope", "--no-cache"]) == 2
+
+    def test_jobs_option_is_gone(self, capsys):
+        from repro.__main__ import main
+
+        # `--target` is the only routing option.
+        with pytest.raises(SystemExit) as exited:
+            main(["fig5", "--target", "local", "--jobs", "2", "--no-cache"])
+        assert exited.value.code == 2
 
     def test_target_local_runs_serial(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -8,6 +8,7 @@ from repro.sim.config import (
     DESIGN_GREEDY_IDLE,
     DESIGN_RNG_OBLIVIOUS,
     ENGINES,
+    PRIORITY_RNG_HIGH,
     SimulationConfig,
     baseline_config,
     drstrange_config,
@@ -90,14 +91,27 @@ class TestDerived:
         assert tuned.alone_run_config() == alone
 
     def test_cache_key_distinguishes_trng(self):
-        a = drstrange_config().cache_key()
-        b = drstrange_config(trng_name="quac-trng").cache_key()
-        assert a != b
+        # The alone-run cache keys on the alone config: another TRNG is
+        # another alone run.
+        assert (
+            drstrange_config().alone_run_config()
+            != drstrange_config(trng_name="quac-trng").alone_run_config()
+        )
 
     def test_cache_key_ignores_design(self):
-        a = drstrange_config().alone_run_config().cache_key()
-        b = greedy_config().alone_run_config().cache_key()
-        assert a == b
+        # Configs that differ only in design, DR-STRaNGe knobs, scheduler
+        # or priority share one alone run (and one alone-cache entry).
+        alone = drstrange_config().alone_run_config()
+        variants = [
+            greedy_config(),
+            baseline_config(),
+            drstrange_config(drstrange=DRStrangeConfig(buffer_entries=4, predictor="rl")),
+            drstrange_config(scheduler="bliss"),
+            drstrange_config(priority_mode=PRIORITY_RNG_HIGH),
+        ]
+        for config in variants:
+            assert config.alone_run_config() == alone
+            assert hash(config.alone_run_config()) == hash(alone)
 
     def test_buffer_capacity_bits(self):
         assert DRStrangeConfig(buffer_entries=16, bits_per_entry=64).buffer_capacity_bits == 1024

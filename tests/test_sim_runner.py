@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controller.config import ControllerConfig
 from repro.sim.config import baseline_config, drstrange_config
 from repro.sim.runner import AloneRunCache, compare_designs, run_single_application, run_workload
 from repro.workloads.mixes import build_traces
@@ -47,6 +48,32 @@ class TestAloneRunCache:
         assert len(cache) == 0
         cache.clear()
         assert cache.hits == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            baseline_config(controller=ControllerConfig(issue_lookahead=0)),
+            baseline_config(max_cycles=800),
+        ],
+        ids=["issue-lookahead", "max-cycles"],
+    )
+    def test_never_serves_another_configs_alone_run(self, config):
+        # A cache shared with the default baseline must give exactly what
+        # a private cache gives: the alone runs differ under ``config``.
+        heavy = WorkloadMix(
+            name="heavy-mix",
+            slots=[
+                ApplicationSpec("heavy-app", mpki=20.0, row_locality=0.5),
+                RNGBenchmarkSpec("heavy-rng", throughput_mbps=5120.0),
+            ],
+        )
+        shared = AloneRunCache()
+        run_workload(heavy, baseline_config(), instructions=5_000, cache=shared)
+        served = run_workload(heavy, config, instructions=5_000, cache=shared)
+        private = run_workload(heavy, config, instructions=5_000, cache=AloneRunCache())
+        assert [slot.slowdown for slot in served.slots] == [
+            slot.slowdown for slot in private.slots
+        ]
 
 
 class TestRunWorkload:

@@ -44,7 +44,6 @@ from repro.orchestration import (
     SimulationUnit,
     point_key,
 )
-from repro.orchestration.executors import store_put
 from repro.sim.config import ENGINE_EVENT, ENGINE_TICK, baseline_config
 from repro.sim.system import System
 from repro.telemetry import logs
@@ -334,26 +333,13 @@ class TestStorePut:
     def test_figure_aware_store_receives_label(self, tmp_path):
         result = System([make_trace()], baseline_config()).run()
         cache = ResultCache(tmp_path)
-        store_put(cache, "ab" + "0" * 62, result, "fig9")
+        cache.put("ab" + "0" * 62, result, figure="fig9")
         assert cache.stats_by_figure()["fig9"]["entries"] == 1
-
-    def test_two_argument_store_still_works(self):
-        class TwoArgStore:
-            def __init__(self):
-                self.committed = {}
-
-            def put(self, key, result):
-                self.committed[key] = result
-
-        store = TwoArgStore()
-        result = System([make_trace()], baseline_config()).run()
-        store_put(store, "k", result, "fig9")
-        assert store.committed == {"k": result}
 
     def test_in_memory_store_accepts_label(self):
         store = InMemoryResultStore()
         result = System([make_trace()], baseline_config()).run()
-        store_put(store, "k", result, "fig9")
+        store.put("k", result, figure="fig9")
         assert store.get("k") == result
 
 
@@ -369,7 +355,7 @@ class TestRunManifests:
                 experiments=["fig6", "fig11"],
                 started_at=1700000000.0,
                 finished_at=1700000100.0,
-                argv=["fig6", "fig11", "--jobs", "2"],
+                argv=["fig6", "fig11", "--target", "process:2"],
                 kwargs={"instructions": 4000},
                 executor="process",
                 engine="event",
