@@ -19,10 +19,11 @@ loaded from a simple text format (one entry per line:
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,23 @@ class TraceColumns:
         )
 
 
+class _EntryDerived:
+    """Values derived from one snapshot of a trace's entry list.
+
+    Each is computed at its first use and kept until the entry list
+    changes (see :meth:`Trace._derived`).
+    """
+
+    __slots__ = ("entries", "columns", "digest", "counts")
+
+    def __init__(self, entries: Tuple[TraceEntry, ...]) -> None:
+        self.entries = entries
+        self.columns: Optional[TraceColumns] = None
+        self.digest: Optional[str] = None
+        #: ``(instructions, reads, writes, rng_requests)``.
+        self.counts: Optional[Tuple[int, int, int, int]] = None
+
+
 class Trace:
     """An ordered collection of trace entries with a name and metadata."""
 
@@ -129,8 +147,7 @@ class Trace:
             raise ValueError("a trace must contain at least one entry")
         self.name = name
         self.metadata = dict(metadata or {})
-        self._columns: Optional[TraceColumns] = None
-        self._columns_snapshot: tuple = ()
+        self._entry_derived: Optional[_EntryDerived] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,25 +158,59 @@ class Trace:
     def __getitem__(self, index: int) -> TraceEntry:
         return self.entries[index]
 
+    def _derived(self) -> _EntryDerived:
+        """The cached values of the current entry list.
+
+        One guard covers every cached value (columns, digest, counts): an
+        identity snapshot of the entry list, so appending, removing or
+        replacing entries all trigger a recompute (entries themselves are
+        frozen, so element mutation is impossible).  The guard is a tuple
+        compare over object identities — O(entries) pointer compares per
+        call, far cheaper than any of the values it guards.  ``name`` and
+        ``metadata`` are not guarded, so nothing derived from them is
+        cached.
+        """
+        entries = tuple(self.entries)
+        derived = self._entry_derived
+        if derived is None or entries != derived.entries:
+            derived = self._entry_derived = _EntryDerived(entries)
+        return derived
+
+    def _counts(self) -> Tuple[int, int, int, int]:
+        derived = self._derived()
+        counts = derived.counts
+        if counts is None:
+            bubbles = reads = writes = rng_requests = 0
+            for entry in derived.entries:
+                bubbles += entry.bubbles
+                if entry.address is not None:
+                    reads += 1
+                if entry.write_address is not None:
+                    writes += 1
+                if entry.rng_bits > 0:
+                    rng_requests += 1
+            counts = derived.counts = (bubbles + reads + rng_requests, reads, writes, rng_requests)
+        return counts
+
     @property
     def total_instructions(self) -> int:
         """Total number of instructions represented by the trace."""
-        return sum(entry.instruction_count for entry in self.entries)
+        return self._counts()[0]
 
     @property
     def memory_reads(self) -> int:
         """Number of LLC-missing reads in the trace."""
-        return sum(1 for entry in self.entries if entry.has_memory_read)
+        return self._counts()[1]
 
     @property
     def memory_writes(self) -> int:
         """Number of writebacks in the trace."""
-        return sum(1 for entry in self.entries if entry.write_address is not None)
+        return self._counts()[2]
 
     @property
     def rng_requests(self) -> int:
         """Number of RNG requests in the trace."""
-        return sum(1 for entry in self.entries if entry.has_rng_request)
+        return self._counts()[3]
 
     @property
     def mpki(self) -> float:
@@ -175,21 +226,39 @@ class Trace:
         """The trace precompiled into flat parallel arrays (cached).
 
         Compiled once per :class:`Trace` object at first use (simulation
-        start) and shared by every core replaying it afterwards.  The
-        cache is guarded by an identity snapshot of the entry list, so
-        appending, removing or replacing entries all trigger a recompile
-        (entries themselves are frozen, so element mutation is
-        impossible).  The guard is a tuple compare over object
-        identities — O(entries) pointer compares per call, negligible
-        next to the simulation that follows.
+        start) and shared by every core replaying it afterwards;
+        recompiled after the entry list changes (see :meth:`_derived`).
         """
-        entries = tuple(self.entries)
-        columns = self._columns
-        if columns is None or entries != self._columns_snapshot:
-            columns = TraceColumns(entries)
-            self._columns = columns
-            self._columns_snapshot = entries
+        derived = self._derived()
+        columns = derived.columns
+        if columns is None:
+            columns = derived.columns = TraceColumns(derived.entries)
         return columns
+
+    def entries_digest(self) -> str:
+        """SHA-256 hex digest of the entry list (cached like :meth:`columns`).
+
+        Each entry contributes ``b"<bubbles>,<read>,<write>,<rng_bits>;"``
+        with ``-1`` for a missing address, so two traces share a digest
+        exactly when their entry lists are equal.  Result-store keys embed
+        this digest: changing the encoding invalidates every stored result.
+        """
+        derived = self._derived()
+        digest = derived.digest
+        if digest is None:
+            hasher = hashlib.sha256()
+            for entry in derived.entries:
+                hasher.update(
+                    b"%d,%d,%d,%d;"
+                    % (
+                        entry.bubbles,
+                        -1 if entry.address is None else entry.address,
+                        -1 if entry.write_address is None else entry.write_address,
+                        entry.rng_bits,
+                    )
+                )
+            digest = derived.digest = hasher.hexdigest()
+        return digest
 
     # -- serialisation ------------------------------------------------------------
 

@@ -987,8 +987,10 @@ class SweepService(PointServer):
     """A long-lived daemon multiplexing many sweeps over one worker fleet.
 
     Settled points are dropped — the store answers future submits, and a
-    daemon must not hold every trace it ever planned — so its memory
-    tracks the live backlog, not its history.
+    daemon must not hold every trace it ever planned.  Finished jobs are
+    not: each keeps its results for ``poll --results`` and ``jobs`` for
+    the daemon's lifetime (about 33 KiB for fig6+fig9+fig13+fig18 at 10k
+    instructions), so memory grows with the number of jobs served.
     """
 
     server_kind = thread_stem = "service"

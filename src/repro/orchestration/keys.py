@@ -16,6 +16,11 @@ key of a point is the SHA-256 digest of a canonical JSON encoding of
 Python's built-in ``hash`` is unsuitable because it is salted per
 process; these keys must be stable across processes, CLI invocations
 and machines.
+
+A trace's entry digest is cached on the trace, and inside a sweep pass
+(:mod:`repro.workloads.memo`) a config's canonical JSON is computed once
+per config object; :func:`point_key` joins those canonical fragments
+into exactly the bytes ``canonical_json`` gives for the whole payload.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Dict, Sequence
 
 from ..cpu.trace import Trace
 from ..sim.config import SimulationConfig
+from ..workloads.memo import per_object
 
 #: Bump to invalidate all previously cached results (e.g. after a change
 #: to the simulator that alters results without changing configs/traces).
@@ -51,32 +57,26 @@ def config_fingerprint(config: SimulationConfig) -> Dict:
     return fields
 
 
+def _config_json(config: SimulationConfig) -> str:
+    return canonical_json(config_fingerprint(config))
+
+
 def trace_fingerprint(trace: Trace) -> Dict:
     """Content digest of one trace (name, metadata, full entry list)."""
-    hasher = hashlib.sha256()
-    for entry in trace.entries:
-        hasher.update(
-            b"%d,%d,%d,%d;"
-            % (
-                entry.bubbles,
-                -1 if entry.address is None else entry.address,
-                -1 if entry.write_address is None else entry.write_address,
-                entry.rng_bits,
-            )
-        )
     return {
         "name": trace.name,
         "metadata": {str(k): trace.metadata[k] for k in sorted(trace.metadata, key=str)},
-        "entries": hasher.hexdigest(),
+        "entries": trace.entries_digest(),
         "num_entries": len(trace.entries),
     }
 
 
 def point_key(traces: Sequence[Trace], config: SimulationConfig) -> str:
-    """Content-addressed key of one simulation point."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "config": config_fingerprint(config),
-        "traces": [trace_fingerprint(trace) for trace in traces],
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    """Content-addressed key of one simulation point: the SHA-256 of
+    ``canonical_json({"schema": ..., "config": ..., "traces": [...]})``."""
+    text = '{"config":%s,"schema":%d,"traces":%s}' % (
+        per_object(config, _config_json),
+        SCHEMA_VERSION,
+        canonical_json([trace_fingerprint(trace) for trace in traces]),
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -28,6 +28,13 @@ Without one it only replays, and the cache-serving backend simulates
 its own misses, so a warm sweep is one pass.  The sweep service
 (:class:`~repro.distributed.service.SweepService`) calls the same
 :func:`plan_units` and :func:`replay` around its worker fleet.
+
+Each plan and each replay is one *pass*
+(:func:`~repro.workloads.memo.sweep_pass`): it generates each distinct
+trace once, however many figures, configs and alone runs use it, and
+computes each config's key fragment once.  Shared traces are read-only.
+The memo is dropped when the pass returns, so a plan holds only the
+traces its units reference and a replay holds nothing afterwards.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from ..sim.results import ChannelResult, CoreResult, SimulationResult
 from ..sim.runner import AloneRunCache
 from ..telemetry.manifest import new_run_id
 from ..telemetry.trace import TraceJournal, traces_dir
+from ..workloads.memo import sweep_pass
 from .cache import PersistentAloneRunCache, ResultCache
 from .executors import Executor
 from .keys import point_key
@@ -263,12 +271,13 @@ def _run_figure(module, kwargs: Dict) -> Dict:
 def plan_experiment(experiment, **kwargs) -> List[SimulationUnit]:
     """Enumerate the simulation points ``experiment`` needs, without simulating.
 
-    An experiment given by id labels its units with that id (see
-    :attr:`SimulationUnit.figure`).
+    One pass (see :func:`~repro.workloads.memo.sweep_pass`), or part of
+    the caller's.  An experiment given by id labels its units with that
+    id (see :attr:`SimulationUnit.figure`).
     """
     module = resolve_experiment(experiment)
     backend = PlanningBackend(label=experiment if isinstance(experiment, str) else None)
-    with sim_runner.simulation_backend(backend):
+    with sweep_pass(), sim_runner.simulation_backend(backend):
         _run_figure(module, kwargs)
     return list(backend.units.values())
 
@@ -277,12 +286,14 @@ def plan_units(labels: Iterable[str], **kwargs) -> Dict[str, SimulationUnit]:
     """The distinct simulation points of the experiments ``labels``.
 
     Keyed by content key; a point shared by several figures keeps the
-    first planner's label.
+    first planner's label.  One pass: units of different points share
+    the trace objects they have in common.
     """
     units: Dict[str, SimulationUnit] = {}
-    for label in labels:
-        for unit in plan_experiment(label, **kwargs):
-            units.setdefault(unit.key, unit)
+    with sweep_pass():
+        for label in labels:
+            for unit in plan_experiment(label, **kwargs):
+                units.setdefault(unit.key, unit)
     return units
 
 
@@ -291,13 +302,14 @@ def replay(
 ) -> Tuple[Dict[str, Dict], CacheServingBackend]:
     """Run the experiments ``labels`` with every simulation served from ``store``.
 
-    Points missing from the store are simulated on this thread and
-    committed.  Returns the figure label → data dict mapping and the
-    backend, whose ``points``/``figures`` record the distinct keys read.
+    One pass (see :func:`~repro.workloads.memo.sweep_pass`).  Points
+    missing from the store are simulated on this thread and committed.
+    Returns the figure label → data dict mapping and the backend, whose
+    ``points``/``figures`` record the distinct keys read.
     """
     backend = CacheServingBackend(store)
     data: Dict[str, Dict] = {}
-    with sim_runner.simulation_backend(backend):
+    with sweep_pass(), sim_runner.simulation_backend(backend):
         for label in labels:
             backend.figure = label
             with telemetry.registry().time(f"sweep.figure_seconds.{label}"):

@@ -21,6 +21,7 @@ from ..cpu.trace import Trace
 from ..dram.address import AddressMapping
 from ..metrics.fairness import memory_slowdown, unfairness_index
 from ..metrics.speedup import normalized_weighted_speedup, weighted_speedup
+from ..workloads.memo import per_object
 from ..workloads.mixes import build_traces
 from ..workloads.spec import WorkloadMix
 from .config import SimulationConfig
@@ -288,12 +289,19 @@ class WorkloadEvaluation:
         return self.result.memory_busy_cycles
 
 
+def _alone_run_config(config: SimulationConfig) -> SimulationConfig:
+    return config.alone_run_config()
+
+
 class AloneRunCache:
     """Cache of single-application "alone" runs keyed by trace + config.
 
     The key is the trace's name, its full metadata and its instruction
     count, plus the complete alone-run configuration, so a run is served
-    only to configs that would simulate exactly that run.
+    only to configs that would simulate exactly that run.  Inside a sweep
+    pass the alone-run configuration is derived once per config object
+    (:func:`~repro.workloads.memo.per_object`), so every alone run of one
+    config shares one config object and one key fragment.
     """
 
     def __init__(self) -> None:
@@ -304,7 +312,7 @@ class AloneRunCache:
     def get(
         self, trace: Trace, config: SimulationConfig
     ) -> Tuple[CoreResult, SimulationResult]:
-        alone_config = config.alone_run_config()
+        alone_config = per_object(config, _alone_run_config)
         key = (
             trace.name,
             tuple(sorted(trace.metadata.items())),

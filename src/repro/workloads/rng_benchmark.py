@@ -16,9 +16,11 @@ import numpy as np
 from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import AddressMapping
 from ..dram.timing import DRAMOrganization
+from .memo import memoized_in_pass
 from .spec import RNGBenchmarkSpec
 
 
+@memoized_in_pass
 def generate_rng_trace(
     spec: RNGBenchmarkSpec,
     num_instructions: int,
@@ -33,6 +35,10 @@ def generate_rng_trace(
     required RNG throughput matches ``spec.throughput_mbps``; a light
     stream of regular memory reads (``spec.mpki``) is sprinkled into the
     compute phases.
+
+    Inside a sweep pass (see :mod:`repro.workloads.memo`) a repeated call
+    returns the trace the pass already generated for the same arguments;
+    the caller must treat it as read-only.
     """
     if num_instructions <= 0:
         raise ValueError("num_instructions must be positive")

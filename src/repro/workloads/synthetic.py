@@ -20,9 +20,11 @@ import numpy as np
 from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import AddressMapping
 from ..dram.timing import DRAMOrganization
+from .memo import memoized_in_pass
 from .spec import ApplicationSpec
 
 
+@memoized_in_pass
 def generate_application_trace(
     spec: ApplicationSpec,
     num_instructions: int,
@@ -46,6 +48,10 @@ def generate_application_trace(
         Offset added to every row index, so that different cores of a
         multi-programmed mix touch disjoint rows (they still share
         channels and banks, which is where interference happens).
+
+    Inside a sweep pass (see :mod:`repro.workloads.memo`) a repeated call
+    returns the trace the pass already generated for the same arguments;
+    the caller must treat it as read-only.
     """
     if num_instructions <= 0:
         raise ValueError("num_instructions must be positive")

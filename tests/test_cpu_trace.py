@@ -147,6 +147,17 @@ class TestTraceColumns:
         assert len(recompiled) == 2
         assert recompiled.read_addresses[1] == 64
 
+    def test_counts_and_digest_recompute_when_entries_grow(self):
+        trace = Trace([TraceEntry(bubbles=1)])
+        counts = (trace.total_instructions, trace.memory_reads, trace.memory_writes)
+        digest = trace.entries_digest()
+        assert counts == (1, 0, 0) and trace.rng_requests == 0
+        trace.entries.append(TraceEntry(bubbles=2, address=64, write_address=128, rng_bits=8))
+        assert trace.total_instructions == 5
+        assert (trace.memory_reads, trace.memory_writes, trace.rng_requests) == (1, 1, 1)
+        assert trace.entries_digest() != digest
+        assert trace.entries_digest() == Trace(list(trace.entries)).entries_digest()
+
     def test_columns_recompile_on_same_length_replacement(self):
         trace = Trace([TraceEntry(bubbles=1), TraceEntry(bubbles=2)])
         first = trace.columns()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
 import pytest
 
 from repro.cpu.trace import Trace, TraceEntry
+from repro.dram.address import AddressMapping
 from repro.experiments import fig06_dualcore_performance as fig6
 from repro.orchestration import (
     InMemoryResultStore,
@@ -24,11 +26,13 @@ from repro.orchestration import (
     sweep_experiments,
 )
 from repro.sim import runner as sim_runner
-from repro.sim.config import baseline_config
+from repro.sim.config import baseline_config, drstrange_config
 from repro.sim.runner import AloneRunCache
 from repro.sim.system import System
 from repro.telemetry.events import isolated_bus
 from repro.telemetry.manifest import list_manifests
+from repro.workloads import ApplicationSpec, WorkloadMix, build_traces, standard_rng_benchmark
+from repro.workloads.memo import sweep_pass
 from repro.workloads.suites import representative_subset
 
 
@@ -68,6 +72,34 @@ class TestPointKeys:
         config = baseline_config()
         a, b = make_trace("a"), make_trace("b", rng=True)
         assert point_key([a, b], config) != point_key([b, a], config)
+
+    #: Keys of a fixed 2-core mix at 2,000 instructions, pinned so that
+    #: no change to key computation (or to trace generation) silently
+    #: orphans every existing result store.
+    GOLDEN_SHARED = "f35f250ccc20b56c7e370cc57a5796ba7fdcd4b4f7e8ebd054adb6e614c278fa"
+    GOLDEN_ALONE = (
+        "98b4db2973ee7a1ab290ece7918c3ccc8124b827ee471935844160b2da1cece7",
+        "172aef9fc976dfe1a46fecf0712b1b174b9bd44f0c8c4af47544acc909904397",
+    )
+
+    @pytest.mark.parametrize("in_pass", [False, True], ids=["outside-pass", "in-pass"])
+    def test_golden_keys(self, in_pass):
+        config = drstrange_config()
+        mix = WorkloadMix(
+            name="golden",
+            slots=[
+                ApplicationSpec("golden-app", mpki=20.0, row_locality=0.6, write_fraction=0.3),
+                standard_rng_benchmark(5120.0),
+            ],
+        )
+        with sweep_pass() if in_pass else contextlib.nullcontext():
+            for _ in range(2):  # the second round reads every cached fragment
+                traces = build_traces(
+                    mix, 2_000, seed=3, mapping=AddressMapping(config.organization)
+                )
+                assert point_key(traces, config) == self.GOLDEN_SHARED
+                alone = config.alone_run_config()
+                assert tuple(point_key([trace], alone) for trace in traces) == self.GOLDEN_ALONE
 
 
 class TestResultCache:
