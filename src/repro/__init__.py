@@ -29,7 +29,6 @@ from .core import (
     RandomNumberBuffer,
     RNGAwareQueuePolicy,
     SimpleIdlenessPredictor,
-    TRNGInterface,
 )
 from .sim import (
     DESIGN_DRSTRANGE,
@@ -45,7 +44,7 @@ from .sim import (
     run_workload,
     simulate,
 )
-from .trng import DRaNGe, EntropySource, ParametricTRNG, QUACTRNG
+from .trng import DRaNGe, ParametricTRNG, QUACTRNG
 
 __version__ = "1.0.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "DESIGN_RNG_OBLIVIOUS",
     "DRaNGe",
     "DRStrangeConfig",
-    "EntropySource",
     "ParametricTRNG",
     "QLearningIdlenessPredictor",
     "QUACTRNG",
@@ -64,7 +62,6 @@ __all__ = [
     "SimpleIdlenessPredictor",
     "SimulationConfig",
     "System",
-    "TRNGInterface",
     "WorkloadEvaluation",
     "baseline_config",
     "compare_designs",

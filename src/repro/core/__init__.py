@@ -3,7 +3,6 @@
 from .config import DRStrangeConfig
 from .fill_policies import DRStrangeFillPolicy, GreedyIdleFillPolicy, NoFillPolicy
 from .idleness_predictor import IdlenessPredictor, PredictorStats, SimpleIdlenessPredictor
-from .interface import TRNGInterface
 from .rl_predictor import QLearningIdlenessPredictor
 from .rng_buffer import BufferStats, RandomNumberBuffer
 from .rng_scheduler import ApplicationRegistry, RNGAwareQueuePolicy, RNGSchedulerStats
@@ -25,5 +24,4 @@ __all__ = [
     "RNGSubsystemStats",
     "RandomNumberBuffer",
     "SimpleIdlenessPredictor",
-    "TRNGInterface",
 ]

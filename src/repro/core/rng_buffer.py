@@ -5,11 +5,11 @@ ahead of demand, during idle or lowly utilised DRAM periods.  When the
 buffer holds enough bits, an application's random number request is served
 with low latency instead of paying the full DRAM TRNG latency.
 
-The buffer tracks bit *counts* (the amount of pre-generated entropy); the
-actual bit values come from the TRNG's entropy source when a number is
-handed to an application (see :mod:`repro.core.interface`).  Served bits
-are discarded, satisfying the security requirement that every random
-number is unique and never handed to two requesters (Section 6).
+The buffer tracks bit *counts* (the amount of pre-generated entropy), not
+bit values: the paper's evaluation depends only on how many bits are
+ready, never on what they are.  Served bits are discarded, satisfying the
+security requirement that every random number is unique and never handed
+to two requesters (Section 6).
 """
 
 from __future__ import annotations

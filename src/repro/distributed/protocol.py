@@ -95,7 +95,7 @@ from ..sim.results import SimulationResult
 
 #: Bumped on any incompatible message or payload change; a server
 #: rejects workers speaking a different version during the hello.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Optional message kinds this build's servers understand,
 #: advertised in every welcome (see the module docstring on feature

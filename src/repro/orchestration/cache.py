@@ -105,6 +105,9 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self._memo: Dict[str, SimulationResult] = {}
+        #: Run id recorded in each memoised entry (``None`` when it names
+        #: none), which a sweep reports as the entry's provenance.
+        self.runs: Dict[str, Optional[str]] = {}
         #: Run id stamped into entries written while set (see
         #: :meth:`put`); the orchestrator scopes it around a sweep so
         #: every entry records which run produced it.
@@ -155,6 +158,7 @@ class ResultCache:
                 telemetry.counter("cache.misses")
                 return None
             result = result_from_dict(payload["result"])
+            run = payload.get("run")
         except OSError:
             self.misses += 1
             telemetry.counter("cache.misses")
@@ -168,6 +172,7 @@ class ResultCache:
                 pass
             return None
         self._memo[key] = result
+        self.runs[key] = run if isinstance(run, str) else None
         self.hits += 1
         telemetry.counter("cache.hits")
         return result
@@ -183,6 +188,7 @@ class ResultCache:
         writer's label).
         """
         self._memo[key] = result
+        self.runs[key] = self.run_context
         payload = {"schema": SCHEMA_VERSION, "key": key, "result": result_to_dict(result)}
         if figure is not None:
             payload["figure"] = figure
@@ -208,6 +214,7 @@ class ResultCache:
         longer be replayed from this cache.
         """
         self._memo.clear()
+        self.runs.clear()
         self.hits = 0
         self.misses = 0
         if self.cache_dir.is_dir():
@@ -282,25 +289,6 @@ class ResultCache:
             bucket["entries"] += 1
             bucket["total_bytes"] += size
         return breakdown
-
-    def entry_meta(self, key: str) -> Dict:
-        """Informational metadata of one entry: its ``figure`` and the
-        ``run`` that wrote it (empty for missing/unreadable entries or
-        entries predating either annotation).  Never deserialises the
-        result — this is the provenance lookup, not a read path."""
-        try:
-            with self._path(key).open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return {}
-        if not isinstance(payload, dict):
-            return {}
-        meta = {}
-        for name in ("figure", "run"):
-            value = payload.get(name)
-            if isinstance(value, str):
-                meta[name] = value
-        return meta
 
     def record_last_run(self, extra: Optional[Dict] = None) -> None:
         """Persist this process's hit/miss counters (plus ``extra`` fields)

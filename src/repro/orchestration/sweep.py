@@ -414,12 +414,11 @@ def sweep_experiments(
             telemetry.emit("phase.start", phase="replay", run=run_id)
             data, backend = replay(labels, store, **kwargs)
             telemetry.emit("phase.end", phase="replay", run=run_id)
+        runs = getattr(store, "runs", {})
         for key, state in backend.points.items():
             figure = backend.figures[key]
             if state == "replayed" and key not in ran:
-                origin = (
-                    store.entry_meta(key).get("run") if hasattr(store, "entry_meta") else None
-                )
+                origin = runs.get(key)
                 telemetry.emit("point.replay", point=key, figure=figure, run=origin)
             else:
                 state, origin = "simulated", run_id

@@ -66,7 +66,7 @@ from .system import System
 
 #: Bump whenever the kernel's pickled shape changes incompatibly; stale
 #: snapshots are rejected (and silently missed by :func:`load`).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"REPRO-CKPT"
 _HEADER = struct.Struct(">B")

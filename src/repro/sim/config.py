@@ -73,8 +73,6 @@ class SimulationConfig:
     organization: DRAMOrganization = field(default_factory=DRAMOrganization)
     #: Hard simulation length limit (bus cycles) as a runaway guard.
     max_cycles: int = 5_000_000
-    #: Seed for the TRNG entropy source.
-    entropy_seed: int = 0
     #: Simulation engine: ``"event"`` (cycle-skipping) or ``"tick"`` (the
     #: reference cycle-by-cycle loop).  Results are bit-identical, so the
     #: engine is excluded from all result-cache keys.
@@ -96,9 +94,7 @@ class SimulationConfig:
 
     def make_trng(self) -> DRAMTRNGModel:
         """Instantiate the configured TRNG mechanism model."""
-        from ..trng.entropy import EntropySource
-
-        kwargs = {"entropy_source": EntropySource(seed=self.entropy_seed)}
+        kwargs = {}
         if self.trng_name == "parametric":
             if self.trng_throughput_mbps is None:
                 raise ValueError("parametric TRNG requires trng_throughput_mbps")

@@ -1,11 +1,9 @@
-"""DRAM-based TRNG mechanism models and the simulated entropy substrate."""
+"""DRAM-based TRNG mechanism models: latency and throughput only (see :mod:`.base`)."""
 
 from .base import DRAMTRNGModel
 from .drange import DRaNGe
-from .entropy import EntropySource, ProcessVariationModel
 from .parametric import ParametricTRNG
 from .quac import QUACTRNG
-from . import quality
 
 
 def make_trng(name: str, **kwargs) -> DRAMTRNGModel:
@@ -31,8 +29,5 @@ __all__ = [
     "DRaNGe",
     "QUACTRNG",
     "ParametricTRNG",
-    "EntropySource",
-    "ProcessVariationModel",
-    "quality",
     "make_trng",
 ]

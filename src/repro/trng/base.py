@@ -11,8 +11,8 @@ DR-STRaNGe is mechanism-independent: the system design only needs to know
 
 Concrete mechanisms (:class:`~repro.trng.drange.DRaNGe`,
 :class:`~repro.trng.quac.QUACTRNG`, and the parametric sweep model used
-for Figure 2) provide these numbers; the actual random bit *values* come
-from the shared simulated :class:`~repro.trng.entropy.EntropySource`.
+for Figure 2) provide these numbers.  The paper's evaluation never
+depends on a random bit *value*, so no model produces one.
 """
 
 from __future__ import annotations
@@ -20,19 +20,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
-from .entropy import EntropySource
-
 
 class DRAMTRNGModel(ABC):
     """Latency/throughput model of a DRAM-based TRNG mechanism."""
 
     #: Human-readable mechanism name.
     name: str = "abstract-trng"
-
-    def __init__(self, entropy_source: EntropySource | None = None) -> None:
-        self.entropy = entropy_source or EntropySource()
 
     # -- mechanism characteristics -------------------------------------------------
 
@@ -96,16 +89,6 @@ class DRAMTRNGModel(ABC):
         rate = self.per_channel_bits_per_cycle(num_channels, bus_mhz)
         throughput_cycles = int(math.ceil(bits / rate)) if rate > 0 else 0
         return self.demand_base_latency_cycles + throughput_cycles
-
-    # -- bit generation --------------------------------------------------------------
-
-    def generate_bits(self, count: int) -> np.ndarray:
-        """Produce ``count`` random bits from the simulated entropy source."""
-        return self.entropy.generate_bits(count)
-
-    def generate_integer(self, bits: int = 64) -> int:
-        """Produce a random unsigned integer of ``bits`` bits."""
-        return self.entropy.generate_integer(bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(throughput={self.throughput_mbps:.0f} Mb/s)"

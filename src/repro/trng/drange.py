@@ -18,7 +18,6 @@ Calibration (matching the paper's evaluation setup, Section 7):
 from __future__ import annotations
 
 from .base import DRAMTRNGModel
-from .entropy import EntropySource
 
 
 class DRaNGe(DRAMTRNGModel):
@@ -28,13 +27,11 @@ class DRaNGe(DRAMTRNGModel):
 
     def __init__(
         self,
-        entropy_source: EntropySource | None = None,
         throughput_mbps: float = 563.0,
         batch_latency_cycles: int = 40,
         bits_per_bank_per_batch: int = 1,
         demand_base_latency_cycles: int = 110,
     ) -> None:
-        super().__init__(entropy_source)
         if throughput_mbps <= 0:
             raise ValueError("throughput_mbps must be positive")
         if batch_latency_cycles <= 0:

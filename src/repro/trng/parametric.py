@@ -11,7 +11,6 @@ yield scales with the configured throughput.
 from __future__ import annotations
 
 from .base import DRAMTRNGModel
-from .entropy import EntropySource
 
 
 class ParametricTRNG(DRAMTRNGModel):
@@ -22,13 +21,11 @@ class ParametricTRNG(DRAMTRNGModel):
     def __init__(
         self,
         throughput_mbps: float,
-        entropy_source: EntropySource | None = None,
         batch_latency_cycles: int = 40,
         demand_base_latency_cycles: int = 110,
         num_channels: int = 4,
         bus_mhz: float = 800.0,
     ) -> None:
-        super().__init__(entropy_source)
         if throughput_mbps <= 0:
             raise ValueError("throughput_mbps must be positive")
         if batch_latency_cycles <= 0:

@@ -17,7 +17,6 @@ latency).
 from __future__ import annotations
 
 from .base import DRAMTRNGModel
-from .entropy import EntropySource
 
 
 class QUACTRNG(DRAMTRNGModel):
@@ -27,13 +26,11 @@ class QUACTRNG(DRAMTRNGModel):
 
     def __init__(
         self,
-        entropy_source: EntropySource | None = None,
         throughput_mbps: float = 3440.0,
         batch_latency_cycles: int = 56,
         bits_per_batch_per_channel: int = 60,
         demand_base_latency_cycles: int = 300,
     ) -> None:
-        super().__init__(entropy_source)
         if throughput_mbps <= 0:
             raise ValueError("throughput_mbps must be positive")
         if batch_latency_cycles <= 0:

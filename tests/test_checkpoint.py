@@ -84,6 +84,15 @@ class TestFormat:
             checkpoint.content_digest(data)
         )
 
+    def test_snapshot_carries_kernel_state_only(self):
+        # Nothing bulky rides along with the kernel: the 2-core fixture
+        # snapshots to a few KiB fresh, mid-run and once its run has
+        # played out (it ends before cycle 2,000).
+        config = make_config()
+        assert len(checkpoint.snapshot(System(make_traces(config), config))) < 16 * 1024
+        for stop_at in (1_000, 2_000):
+            assert len(checkpoint.snapshot(paused_system(config, stop_at))) < 16 * 1024
+
     def test_describe_reports_metadata_without_kernel(self):
         config = make_config()
         system = paused_system(config, stop_at=1_500)

@@ -22,6 +22,7 @@ from repro.cpu.trace import Trace, TraceEntry
 from repro.distributed import (
     Coordinator,
     DistributedExecutor,
+    SweepService,
     parse_address,
     run_worker,
     spawn_local_worker,
@@ -93,7 +94,7 @@ class TestProtocol:
             decode_message(b"{not json\n")
 
     def test_config_round_trip_covers_nested_dataclasses(self):
-        config = drstrange_config(scheduler="bliss", scheduler_cap=4, entropy_seed=9)
+        config = drstrange_config(scheduler="bliss", scheduler_cap=4, max_cycles=123_456)
         assert config_from_wire(json.loads(json.dumps(config_to_wire(config)))) == config
 
     def test_unit_round_trip_preserves_content_key(self):
@@ -106,6 +107,21 @@ class TestProtocol:
         unit = make_unit()
         result = System(unit.traces, unit.config).run()
         assert result_from_wire(json.loads(json.dumps(result_to_wire(result)))) == result
+
+    def test_service_refuses_hello_from_protocol_1(self):
+        # Protocol 1 work frames carried the TRNG entropy seed in their
+        # config, which this build cannot read: such a peer is refused.
+        service = SweepService(InMemoryResultStore())
+        address = service.start()
+        try:
+            with socket.create_connection(address) as connection:
+                stale = dict(hello_message("stale"), protocol=1)
+                connection.sendall(encode_message(stale))
+                reply = decode_message(connection.makefile("rb").readline())
+        finally:
+            service.stop()
+        assert reply["type"] == "done"
+        assert "protocol mismatch" in reply["error"]
 
     def test_parse_address(self):
         assert parse_address("10.0.0.7:9876") == ("10.0.0.7", 9876)

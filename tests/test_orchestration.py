@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -60,7 +62,7 @@ class TestPointKeys:
         trace = make_trace()
         base = point_key([trace], baseline_config())
         assert point_key([trace], baseline_config(scheduler_cap=8)) != base
-        assert point_key([trace], baseline_config(entropy_seed=7)) != base
+        assert point_key([trace], baseline_config(trng_name="quac-trng")) != base
 
     def test_key_changes_with_trace_content(self):
         config = baseline_config()
@@ -76,10 +78,12 @@ class TestPointKeys:
     #: Keys of a fixed 2-core mix at 2,000 instructions, pinned so that
     #: no change to key computation (or to trace generation) silently
     #: orphans every existing result store.
-    GOLDEN_SHARED = "f35f250ccc20b56c7e370cc57a5796ba7fdcd4b4f7e8ebd054adb6e614c278fa"
+    #: Re-keyed once, on purpose, when the TRNG entropy seed left the
+    #: config: each digest hashes the old payload minus only that member.
+    GOLDEN_SHARED = "feba5b35c02cf3bf82469468472fd61b8de01396a37dd31bee3b266346e131e6"
     GOLDEN_ALONE = (
-        "98b4db2973ee7a1ab290ece7918c3ccc8124b827ee471935844160b2da1cece7",
-        "172aef9fc976dfe1a46fecf0712b1b174b9bd44f0c8c4af47544acc909904397",
+        "bb86d4af790bcf37b34c2736680fc933cc26774801971f8eb3251fd1055c3a6c",
+        "eca6945be5df316677d9ebb7a83a12e06ddb67e596dcd75ad5cc05d94a8377e1",
     )
 
     @pytest.mark.parametrize("in_pass", [False, True], ids=["outside-pass", "in-pass"])
@@ -337,6 +341,31 @@ class TestSweepStats:
                 replays += events.get_nowait()["kind"] == "point.replay"
         assert self.counts(warm) == (cold.stats.planned, 0, cold.stats.planned)
         assert warm.stats.reused == replays
+
+    def test_warm_replay_parses_each_entry_once(self, tmp_path, monkeypatch):
+        request = SweepRequest(("fig5",), instructions=1_500)
+        writer = ResultCache(tmp_path)
+        cold = sweep_experiments(request, store=writer)
+        loads = collections.Counter()
+        real_load = json.load
+
+        def counting_load(handle, *args, **kwargs):
+            loads[os.path.basename(getattr(handle, "name", ""))] += 1
+            return real_load(handle, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        warm = sweep_experiments(request, store=ResultCache(tmp_path))
+        monkeypatch.undo()
+        entries = {f"{key}.json" for key in warm.stats.points}
+        assert warm.stats.reused == len(entries) > 0
+        assert {name: loads[name] for name in entries} == dict.fromkeys(entries, 1)
+        # Provenance names the cold run, read back from disk by a new
+        # instance or remembered by the instance that wrote the entries.
+        for rerun in (warm, sweep_experiments(request, store=writer)):
+            assert all(
+                point["state"] == "replayed" and point["run"] == cold.stats.run_id
+                for point in rerun.stats.points.values()
+            )
 
 
 class TestCLI:

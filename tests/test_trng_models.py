@@ -74,16 +74,6 @@ class TestSharedBehaviour:
         for trng in (DRaNGe(), QUACTRNG(), ParametricTRNG(800.0)):
             assert trng.per_channel_bits_per_cycle(4) > 0
 
-    def test_generate_bits_count(self):
-        trng = DRaNGe()
-        bits = trng.generate_bits(256)
-        assert len(bits) == 256
-        assert set(bits.tolist()) <= {0, 1}
-
-    def test_generate_integer_in_range(self):
-        value = DRaNGe().generate_integer(32)
-        assert 0 <= value < 2**32
-
 
 class TestFactory:
     def test_make_trng_names(self):
