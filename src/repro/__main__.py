@@ -16,7 +16,7 @@ Usage::
     python -m repro fig6 --checkpoint-interval 20000   # resumable simulation
     python -m repro checkpoint list                # stored snapshots
     python -m repro cache                          # result-store statistics
-    python -m repro status --target HOST:PORT      # live coordinator/service view
+    python -m repro status --target HOST:PORT      # live service view
     python -m repro watch --target HOST:PORT       # stream structured events
     python -m repro runs                           # list persisted run manifests
     python -m repro trace export --run ID          # Perfetto-loadable trace JSON
@@ -28,9 +28,7 @@ simulations with it — is served from the cache.  Execution is selected
 with one spec, ``--target {local,process[:N],HOST:PORT}`` (the only
 routing option): serial in this process, a local process pool, or
 submission to a running ``repro serve`` daemon; the printed tables are
-bit-identical to a serial run in every case.  The one-shot coordinator
-behind :class:`~repro.distributed.DistributedExecutor` is library API
-only.
+bit-identical to a serial run in every case.
 """
 
 from __future__ import annotations
@@ -178,7 +176,7 @@ def _add_verbosity_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_service_target(parser: argparse.ArgumentParser) -> None:
     """The ``--target HOST:PORT`` every verb that talks to a running
-    daemon (or a library-run coordinator) requires."""
+    daemon requires."""
     parser.add_argument(
         "--target",
         required=True,
@@ -201,8 +199,8 @@ def _worker_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro worker",
         description=(
-            "Join a fleet: lease simulation points from a coordinator or a "
-            "sweep service, simulate them locally, and stream the results back."
+            "Join a fleet: lease simulation points from a sweep service, "
+            "simulate them locally, and stream the results back."
         ),
     )
     _add_service_target(parser)
@@ -229,8 +227,8 @@ def _worker_main(argv: list[str]) -> int:
         default=None,
         metavar="CYCLES",
         help=(
-            "stream a snapshot of the running point to the service or "
-            "coordinator every CYCLES simulated cycles, so if this worker is killed "
+            "stream a snapshot of the running point to the service "
+            "every CYCLES simulated cycles, so if this worker is killed "
             "its replacement resumes from the last snapshot instead of "
             "restarting (results are bit-identical either way)"
         ),
@@ -417,9 +415,9 @@ def _status_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro status",
         description=(
-            "Render a live status view of a running coordinator or sweep service: "
+            "Render a live status view of a running sweep service: "
             "fleet progress, points/sec, per-worker liveness and lease state, "
-            "cache hit rate, per-figure ETA — and, for a service, the jobs table."
+            "cache hit rate, per-figure ETA and the jobs table."
         ),
     )
     _add_service_target(parser)
@@ -467,7 +465,7 @@ def _status_main(argv: list[str]) -> int:
         if args.json:
             print(json_module.dumps(payload, indent=2, sort_keys=True))
         else:
-            print(f"coordinator {target}")
+            print(f"service {target}")
             print(format_status(payload))
         if args.watch is None:
             return 0
@@ -479,7 +477,7 @@ def _watch_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro watch",
         description=(
-            "Stream a running coordinator's or sweep service's structured "
+            "Stream a running sweep service's structured "
             "events live: leases granted and expired, points committed and "
             "requeued, jobs changing state, tenants blacklisted and cleared. "
             "Pushed over the watch protocol — no polling."

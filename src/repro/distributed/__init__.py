@@ -1,15 +1,14 @@
 """Distributed execution: sharding simulation points across workers.
 
-This subsystem turns the orchestrator's execute phase into a cluster
-run.  One point server (:class:`~repro.distributed.service.PointServer`)
-serves simulation points over a JSON-lines TCP protocol;
-:func:`~repro.distributed.worker.run_worker` processes — on the same
-machine or any machine that can reach the server — lease points,
-simulate them through the existing engine, and stream results back.
-The server commits results to the content-addressed result store, so a
-distributed sweep replays bit-identically to a serial one.  Two
-policies sit on the one server: the persistent multi-tenant
-``repro serve`` daemon and the one-shot library coordinator.
+This subsystem runs sweeps on a worker fleet.  One point server, the
+``repro serve`` daemon (:class:`~repro.distributed.service.SweepService`),
+plans submitted sweeps and serves their simulation points over a
+JSON-lines TCP protocol; :func:`~repro.distributed.worker.run_worker`
+processes — on the same machine or any machine that can reach the
+service — lease points, simulate them through the existing engine, and
+stream results back.  The service commits results to the
+content-addressed result store and replays each job from it, so a
+distributed sweep is bit-identical to a serial one.
 
 Everything is standard library only (``socket`` + ``threading`` +
 ``json``): no broker, no serialization framework, no install step on
@@ -25,38 +24,28 @@ Public surface:
   poll → results, the programmatic face of ``repro submit``.
 * :class:`~repro.distributed.fairness.TenantScheduler` — the
   consecutive-service/blacklist/clearing policy object.
-* :class:`~repro.distributed.executor.DistributedExecutor` — plug into
-  :func:`repro.orchestration.sweep.sweep_experiments`'s ``executor=``
-  (library only; the CLI routes through ``--target``).
-* :class:`~repro.distributed.coordinator.Coordinator` — the one-shot
-  FIFO policy the executor runs: one batch, ``done`` once it settles.
 * :func:`~repro.distributed.worker.run_worker` — the worker loop behind
-  ``python -m repro worker --target HOST:PORT`` (identical against a
-  coordinator or a service, checkpoint streaming included).
+  ``python -m repro worker --target HOST:PORT``, checkpoint streaming
+  included; :func:`~repro.distributed.worker.spawn_local_worker` starts
+  one as a localhost process (``repro serve --workers N``).
 * :mod:`~repro.distributed.protocol` — message framing and the unit /
   config / trace / result wire codecs.
 """
 
 from .client import JobStatus, ServiceError, SweepClient, WatchClient
-from .coordinator import Coordinator
-from .executor import DistributedExecutor, spawn_local_worker
 from .fairness import TenantScheduler
 from .protocol import (
     PROTOCOL_VERSION,
-    SERVICE_FEATURES,
     parse_address,
     unit_from_wire,
     unit_to_wire,
 )
 from .service import SweepService
-from .worker import WorkerStats, run_worker
+from .worker import WorkerStats, run_worker, spawn_local_worker
 
 __all__ = [
-    "Coordinator",
-    "DistributedExecutor",
     "JobStatus",
     "PROTOCOL_VERSION",
-    "SERVICE_FEATURES",
     "ServiceError",
     "SweepClient",
     "SweepService",

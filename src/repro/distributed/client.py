@@ -5,9 +5,10 @@
 :class:`~repro.distributed.service.SweepService`, introduces itself with
 ``role: "client"`` (so the service never mistakes it for a worker), and
 drives the ``submit``/``poll``/``cancel``/``jobs`` message family the
-service advertises via the ``"jobs"`` welcome feature.  A plain
-one-shot coordinator does not advertise the feature, and the client
-refuses it up front instead of failing obscurely on the first submit.
+service advertises via the ``"jobs"`` welcome feature.  A peer that
+does not advertise the feature (an older build's one-shot coordinator
+speaks the same protocol version) is refused up front instead of
+failing obscurely on the first submit.
 
 One connection serves any number of requests; messages are strictly
 request/reply, so the client is trivially usable from a ``with`` block::
@@ -105,7 +106,7 @@ class JobStatus:
 
 
 class WatchClient:
-    """Streaming observer of a coordinator's or service's event feed.
+    """Streaming observer of a service's event feed.
 
     Connects with ``role: "observer"`` and, when the peer's welcome
     advertises the ``"watch"`` feature, subscribes to the event stream:

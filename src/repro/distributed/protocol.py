@@ -1,5 +1,4 @@
-"""Wire protocol of the point servers (coordinator and service) and
-their workers.
+"""Wire protocol of the sweep service, its workers and its clients.
 
 Messages are newline-delimited JSON objects (UTF-8) over a plain TCP
 stream — trivially debuggable with ``nc`` and dependency-free.  Both
@@ -7,42 +6,42 @@ ends open or accept it through :func:`open_connection` /
 :func:`prepare_connection`, which turn Nagle's algorithm off.  Every
 message carries a ``type``:
 
-worker → server (a coordinator or a service)
+worker → service
     ``hello``      introduce the worker (name, pid, protocol version)
     ``lease``      ask for one simulation point
-    ``result``     deliver a finished point (the server replies ``ack``)
-    ``error``      report a point that raised (the server replies ``ack``)
+    ``result``     deliver a finished point (the service replies ``ack``)
+    ``error``      report a point that raised (the service replies ``ack``)
     ``heartbeat``  renew the lease on the point being simulated (no reply)
     ``metrics``    periodic telemetry snapshot (no reply; only sent when
                    the welcome advertised the ``"metrics"`` feature)
     ``checkpoint`` mid-simulation snapshot of the leased point (no
                    reply; only sent when the welcome advertised the
-                   ``"checkpoint"`` feature, which both servers do).
-                   The server keeps the latest one per point and
-                   attaches it to any re-lease, so a killed worker loses
-                   at most one checkpoint interval of progress.
+                   ``"checkpoint"`` feature).  The service keeps the
+                   latest one per point and attaches it to any re-lease,
+                   so a killed worker loses at most one checkpoint
+                   interval of progress.
     ``goodbye``    clean disconnect (no reply)
 
-server → worker
+service → worker
     ``welcome``    accepts the hello (``features`` lists optional message
-                   kinds this server understands)
+                   kinds this service understands)
     ``work``       one leased point: ``key`` plus the serialised unit,
                    plus an optional ``checkpoint`` (cycle + base64
                    snapshot) to resume from instead of restarting
     ``wait``       nothing leasable right now; retry after ``seconds``
-    ``done``       the coordinator's batch has settled, or the server is
-                   stopping; the worker should exit.  A service never
-                   runs out of work, so its workers run until their
-                   connection drops.
+    ``done``       the service is stopping, or it refused the hello
+                   (protocol mismatch); the worker should exit.  A
+                   service never runs out of work, so otherwise its
+                   workers run until their connection drops.
     ``ack``        result/error committed
-    ``error``      the message kind is unknown to this server
+    ``error``      the message kind is unknown to this service
 
-observer → server
-    ``status``     request one live status payload (the server
+observer → service
+    ``status``     request one live status payload (the service
                    replies with ``type: "status"``; used by
                    ``repro status`` and the telemetry smoke tests)
     ``watch``      subscribe to the event stream (only when the welcome
-                   advertised ``"watch"``).  The peer replies
+                   advertised ``"watch"``).  The service replies
                    ``type: "watching"`` (carrying its current event
                    ``seq`` and a status snapshot to seed the view) and
                    then pushes one ``type: "event"`` frame per state
@@ -66,7 +65,7 @@ Feature negotiation keeps the protocol version-tolerant without a
 version bump: optional message kinds (``metrics``, ``status``, the
 ``jobs`` submit/poll family) are advertised in the welcome's
 ``features`` list, old workers simply never send them, and new workers
-talking to an old coordinator (no ``features`` field) fall back to the
+talking to an old server (no ``features`` field) fall back to the
 original message set.
 
 Payload serialisation round-trips the exact objects the orchestrator
@@ -93,22 +92,19 @@ from ..orchestration.sweep import SimulationUnit
 from ..sim.config import SimulationConfig
 from ..sim.results import SimulationResult
 
-#: Bumped on any incompatible message or payload change; a server
+#: Bumped on any incompatible message or payload change; the service
 #: rejects workers speaking a different version during the hello.
 PROTOCOL_VERSION = 2
 
-#: Optional message kinds this build's servers understand,
-#: advertised in every welcome (see the module docstring on feature
-#: negotiation).  ``watch`` covers the streaming subscribe/event/unwatch
-#: family; peers that never saw it advertised fall back to one-shot
-#: ``status`` polling.
-FEATURES = ("metrics", "status", "watch", "checkpoint")
-
-#: What the long-lived sweep *service* additionally understands: the
-#: ``jobs`` feature covers the submit/poll/cancel/jobs message family.
-#: A :class:`~repro.distributed.client.SweepClient` refuses peers whose
-#: welcome lacks it (a plain one-shot coordinator, for instance).
-SERVICE_FEATURES = FEATURES + ("jobs",)
+#: Optional message kinds this build's service understands, advertised
+#: in every welcome (see the module docstring on feature negotiation).
+#: ``watch`` covers the streaming subscribe/event/unwatch family; peers
+#: that never saw it advertised fall back to one-shot ``status``
+#: polling.  ``jobs`` covers the submit/poll/cancel/jobs family: a
+#: :class:`~repro.distributed.client.SweepClient` refuses peers whose
+#: welcome lacks it (an older build's one-shot coordinator, for
+#: instance, speaks the same protocol version).
+FEATURES = ("metrics", "status", "watch", "checkpoint", "jobs")
 
 #: Hard cap on one serialised message.  Sized for the largest realistic
 #: ``work`` payload (every entry of every trace of a full-roster
@@ -135,7 +131,7 @@ def prepare_connection(connection: socket.socket) -> socket.socket:
 
 
 def open_connection(address: Tuple[str, int], timeout: Optional[float] = None) -> socket.socket:
-    """Connect to a coordinator or service at ``(host, port)``.
+    """Connect to a service at ``(host, port)``.
 
     ``timeout`` bounds the connect and every later blocking call, as for
     :func:`socket.create_connection`; ``None`` blocks.
@@ -262,7 +258,7 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def hello_message(worker: str, pid: Optional[int] = None, role: Optional[str] = None) -> Dict:
     """The introduction frame.  ``role`` distinguishes submit/poll
-    clients from workers on a service (old peers omit it and default to
+    clients and observers from workers (old peers omit it and default to
     workers, which is what they are)."""
     message = {"type": "hello", "worker": worker, "pid": pid, "protocol": PROTOCOL_VERSION}
     if role is not None:
@@ -313,9 +309,9 @@ def checkpoint_from_wire(payload: Optional[Dict]) -> Optional[tuple[int, bytes]]
 def peer_features(welcome: Dict) -> frozenset:
     """The optional message kinds a welcome advertises.
 
-    Pre-telemetry coordinators send no ``features`` field at all; the
-    empty set they map to is exactly the original message set, so new
-    workers degrade cleanly.
+    Pre-telemetry servers send no ``features`` field at all; the empty
+    set they map to is exactly the original message set, so new workers
+    degrade cleanly.
     """
     features = welcome.get("features")
     if not isinstance(features, (list, tuple)):

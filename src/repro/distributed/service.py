@@ -1,11 +1,14 @@
-"""The point server, and sweep-as-a-service on top of it.
+"""Sweep-as-a-service: the point server behind ``repro serve``.
 
-:class:`PointServer` is the serving core both servers share.  It owns
-the simulation points of whatever work is live and serves them to
-workers over the JSON-lines TCP protocol
-(:mod:`repro.distributed.protocol`).  Each accepted connection gets its
-own thread; shared queue state sits behind one lock.  Completed results
-are committed straight into the result store (the content-addressed
+:class:`SweepService` is a long-lived daemon.  Clients submit
+:class:`~repro.orchestration.request.SweepRequest`s over the JSON-lines
+TCP protocol (:mod:`repro.distributed.protocol`; ``submit``/``poll``/
+``cancel``/``jobs``, negotiated via the welcome's ``features`` like the
+telemetry messages), the service decomposes each into simulation points
+with the local sweep's planner, and one shared worker fleet drains the
+points of *every* live job.  Each accepted connection gets its own
+thread; shared queue state sits behind one lock.  Completed results are
+committed straight into the result store (the content-addressed
 :class:`~repro.orchestration.cache.ResultCache` or an in-memory
 equivalent), which is what keeps a distributed run bit-identical to a
 serial one: the replay phase reads the same store either way.
@@ -34,20 +37,7 @@ Fault tolerance:
   copy finishes first wins and the loser's commit is a harmless
   overwrite with identical bytes.
 
-Two policies sit on top.  The one-shot
-:class:`~repro.distributed.coordinator.Coordinator` serves one
-pre-planned batch in FIFO order and answers ``done`` once it settles.
-:class:`SweepService` runs forever: clients submit
-:class:`~repro.orchestration.request.SweepRequest`s over the same
-protocol (``submit``/``poll``/``cancel``/``jobs``, negotiated via the
-welcome's ``features`` like the telemetry messages), the service
-decomposes each into simulation points with the local sweep's planner,
-and one shared worker fleet drains the points of *every* live job.  Each
-policy supplies four methods: which point to lease next, where a failed
-attempt is requeued, what a commit credits and what an exhausted point
-fails.
-
-The service adds to the shared core:
+Jobs on top of the points:
 
 * **Bit-identity per job.**  Each job is planned and reassembled by the
   local sweep's own halves,
@@ -73,8 +63,7 @@ import socket
 import threading
 import time
 from collections import deque
-from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..orchestration.cache import ResultCache
@@ -87,8 +76,8 @@ from ..telemetry.manifest import write_manifest
 from ..telemetry.trace import TraceJournal, read_journal, traces_dir
 from .fairness import DEFAULT_CLEARING_INTERVAL, DEFAULT_SERVICE_QUANTUM, TenantScheduler
 from .protocol import (
+    FEATURES,
     PROTOCOL_VERSION,
-    SERVICE_FEATURES,
     encode_message,
     prepare_connection,
     read_message,
@@ -130,7 +119,7 @@ SERVICE_JOURNAL = "service.jsonl"
 
 class _Lease:
     """One worker's claim on one point, attributed to the job it served
-    (``None`` for the coordinator, which has no jobs)."""
+    (``None`` for a straggler duplicate of a point no live job needs)."""
 
     __slots__ = ("connection_id", "worker", "deadline", "started", "job")
 
@@ -208,20 +197,70 @@ class _Point:
         self.checkpoint = None
 
 
-class PointServer:
-    """Leases simulation points to workers over TCP; the shared core of
-    :class:`~repro.distributed.coordinator.Coordinator` and
-    :class:`SweepService`.
+class _Job:
+    """One submitted sweep and everything needed to answer polls on it."""
 
-    Subclasses set :attr:`server_kind` (the counter prefix and logger
-    name), :attr:`thread_stem` and :attr:`features`, and supply the four
-    policy methods :meth:`_next_point_locked`, :meth:`_requeue_locked`,
-    :meth:`_credit_commit_locked` and :meth:`_fail_point_locked`.
+    __slots__ = (
+        "job_id", "tenant", "request", "state", "error", "queue", "remaining",
+        "total", "executed", "reused", "results", "submitted_at", "finished_at",
+    )
+
+    def __init__(self, job_id: str, tenant: str, request: SweepRequest) -> None:
+        self.job_id = job_id
+        self.tenant = tenant
+        self.request = request
+        self.state = PLANNING
+        self.error: Optional[str] = None
+        #: Keys awaiting a lease, in planning order (stale entries — for
+        #: points another job's lease already took — are skipped on pop).
+        self.queue: deque[str] = deque()
+        #: Keys not yet committed for this job.
+        self.remaining: Set[str] = set()
+        self.total = 0
+        #: Points simulated under this job's own lease grants.
+        self.executed = 0
+        #: Points satisfied without this job simulating them: already in
+        #: the store at submit, or committed via another job's lease.
+        self.reused = 0
+        self.results: Optional[Dict[str, Dict]] = None
+        self.submitted_at = time.time()
+        self.finished_at: Optional[float] = None
+
+    def payload(self, include_results: bool = False) -> Dict:
+        """The ``poll``/``jobs`` reply body for this job."""
+        finished = self.finished_at
+        body = {
+            "type": "job",
+            "job": self.job_id,
+            "tenant": self.tenant,
+            "state": self.state,
+            "priority": self.request.priority,
+            "experiments": list(self.request.experiments),
+            "tags": list(self.request.tags),
+            "points": self.total,
+            "pending": len(self.remaining),
+            "completed": self.total - len(self.remaining),
+            "executed": self.executed,
+            "reused": self.reused,
+            "submitted_at": self.submitted_at,
+            "elapsed_seconds": (finished or time.time()) - self.submitted_at,
+        }
+        if self.error is not None:
+            body["error"] = self.error
+        if include_results and self.state == DONE and self.results is not None:
+            body["results"] = self.results
+        return body
+
+
+class SweepService:
+    """A long-lived daemon multiplexing many sweeps over one worker fleet.
+
+    Settled points are dropped — the store answers future submits, and a
+    daemon must not hold every trace it ever planned.  Finished jobs are
+    not: each keeps its results for ``poll --results`` and ``jobs`` for
+    the daemon's lifetime (about 33 KiB for fig6+fig9+fig13+fig18 at 10k
+    instructions), so memory grows with the number of jobs served.
     """
-
-    server_kind = "server"
-    thread_stem = "server"
-    features: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -233,7 +272,8 @@ class PointServer:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         straggler_timeout: float = DEFAULT_STRAGGLER_TIMEOUT,
         retry_seconds: float = DEFAULT_RETRY_SECONDS,
-        events: Optional[telemetry.EventBus] = None,
+        service_quantum: int = DEFAULT_SERVICE_QUANTUM,
+        clearing_interval: float = DEFAULT_CLEARING_INTERVAL,
     ) -> None:
         self._store = store
         self._requested_host = host
@@ -244,15 +284,14 @@ class PointServer:
         self.retry_seconds = retry_seconds
 
         #: The causal event stream: lease churn, commits, requeues,
-        #: worker connects — everything the streaming ``watch`` protocol
-        #: pushes and trace journals record.  A private bus (the
-        #: default) keeps co-located servers and in-process tests
+        #: worker connects, job transitions — everything the streaming
+        #: ``watch`` protocol pushes and the service journal records.  A
+        #: private bus keeps co-located daemons and in-process tests
         #: isolated.
-        self.events = events if events is not None else telemetry.EventBus()
+        self.events = telemetry.EventBus()
         self._lock = threading.Lock()
-        #: Set by :meth:`stop`, and by a policy once nothing is left to
-        #: serve: idle workers are then told ``done`` and the reaper exits.
-        self._finished = threading.Event()
+        #: Set by :meth:`stop`: idle workers are then told ``done`` and
+        #: the reaper exits.
         self._shutdown = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
@@ -261,8 +300,8 @@ class PointServer:
         #: Everyone who said hello, by connection: worker name, pid, role.
         self._peers: Dict[int, Dict] = {}
         self._points: Dict[str, _Point] = {}
-        # Lifetime totals: a policy may drop settled points from
-        # ``_points``, so status counts come from counters.
+        # Lifetime totals: settled points are dropped from ``_points``,
+        # so status counts come from counters.
         self._points_registered = 0
         self._points_completed = 0
         self._points_failed = 0
@@ -281,10 +320,28 @@ class PointServer:
         self._worker_snapshots: Dict[str, Dict] = {}
         #: Per-figure totals for progress/ETA reporting.
         self._figures: Dict[str, Dict[str, int]] = {}
-        self._log = logs.get_logger(self.server_kind)
+        self._log = logs.get_logger("service")
+
+        self._jobs: Dict[str, _Job] = {}
+        self._job_seq = 0
+        self._scheduler = TenantScheduler(
+            service_quantum=service_quantum, clearing_interval=clearing_interval
+        )
+        self._scheduler.on_blacklist = self._on_blacklist
+        self._scheduler.on_clear = self._on_cleared
+        #: Where per-job run manifests land (persistent stores only).
+        self._manifest_dir = store.cache_dir if isinstance(store, ResultCache) else None
+        #: Durable event journal (persistent stores only).  Replaying it
+        #: before attaching makes the jobs table survive a restart.
+        self._journal: Optional[TraceJournal] = None
+        if self._manifest_dir is not None:
+            journal_path = traces_dir(self._manifest_dir) / SERVICE_JOURNAL
+            self._restore_jobs(journal_path)
+            self._journal = TraceJournal(journal_path)
+            self.events.add_sink(self._journal.write)
 
     def _count(self, name: str, value: int = 1) -> None:
-        self._metrics.counter(f"{self.server_kind}.{name}", value)
+        self._metrics.counter(f"service.{name}", value)
 
     def _add_point_locked(self, unit: SimulationUnit) -> _Point:
         """Register a new, leasable point.  Lock held."""
@@ -297,28 +354,6 @@ class PointServer:
         bucket["points"] += 1
         return point
 
-    # ------------------------------------------------------------- policy
-
-    def _next_point_locked(self) -> Tuple[Optional[str], Optional[_Point]]:
-        """Pop the next queued point and the job it is leased for.  Lock held."""
-        raise NotImplementedError
-
-    def _requeue_locked(self, point: _Point) -> None:
-        """List a point whose attempt failed for leasing again.  Lock held."""
-        raise NotImplementedError
-
-    def _credit_commit_locked(
-        self, point: _Point, lease_job: Optional[str], worker: Optional[str], message: Dict
-    ) -> Optional[Callable[[], None]]:
-        """Account a point ``worker`` committed under a lease granted for
-        ``lease_job``; may return a callback to run once the lock is
-        released.  Lock held."""
-        raise NotImplementedError
-
-    def _fail_point_locked(self, point: _Point, reason: str) -> None:
-        """React to a point that exhausted its attempts.  Lock held."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------- lifecycle
 
     def start(self) -> Tuple[str, int]:
@@ -330,24 +365,30 @@ class PointServer:
         self._listener = listener
         self._spawn(self._accept_loop, name="accept")
         self._spawn(self._reaper_loop, name="reaper")
-        return self.address
+        address = self.address
+        self._log.info("sweep service listening on %s:%s", *address)
+        return address
 
     @property
     def address(self) -> Tuple[str, int]:
         if self._listener is None:
-            raise RuntimeError(f"{self.server_kind} is not started")
+            raise RuntimeError("service is not started")
         host, port = self._listener.getsockname()[:2]
         return host, port
 
+    def serve_forever(self, poll_seconds: float = 0.5) -> None:
+        """Block until :meth:`stop` (or ``KeyboardInterrupt`` upstream)."""
+        while not self._shutdown.wait(poll_seconds):
+            pass
+
     def stop(self) -> None:
-        """Stop accepting and serving; idempotent.
+        """Stop accepting and serving, then close the journal; idempotent.
 
         Closing the connections is what shuts the fleet down: a worker
         whose socket drops exits its loop, so no ``done`` broadcast is
         needed.
         """
         self._shutdown.set()
-        self._finished.set()
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -364,12 +405,16 @@ class PointServer:
                 pass
         for thread in threads:
             thread.join(timeout=2.0)
+        if self._journal is not None:
+            self.events.remove_sink(self._journal.write)
+            self._journal.close()
 
     # ------------------------------------------------------------- inspection
 
     def status_payload(self) -> Dict:
         """The live ``status`` reply: fleet progress, per-worker liveness,
-        per-figure ETA, cache accounting, merged telemetry.
+        per-figure ETA, cache accounting, merged telemetry, the jobs table
+        and the fairness scheduler's state.
 
         ETAs are naive linear extrapolations from the whole-run commit
         rate — honest enough for a progress surface, deliberately not a
@@ -406,6 +451,8 @@ class PointServer:
             worker_snapshots = list(self._worker_snapshots.values())
             failed = self._points_failed
             points = self._points_registered
+            jobs = {job_id: job.payload() for job_id, job in self._jobs.items()}
+            scheduler = self._scheduler.snapshot()
         merged = telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
         return {
             "type": "status",
@@ -424,19 +471,9 @@ class PointServer:
             },
             "figures": figures,
             "metrics": merged,
+            "jobs": jobs,
+            "scheduler": scheduler,
         }
-
-    def fleet_metrics(self) -> Dict:
-        """Server counters merged with every worker's last snapshot (for
-        run manifests and post-run aggregation)."""
-        with self._lock:
-            worker_snapshots = list(self._worker_snapshots.values())
-        return telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
-
-    def worker_snapshots(self) -> Dict[str, Dict]:
-        """The latest telemetry snapshot each worker reported, by name."""
-        with self._lock:
-            return {name: dict(snap) for name, snap in self._worker_snapshots.items()}
 
     # ------------------------------------------------------------- serving
 
@@ -444,19 +481,19 @@ class PointServer:
         """Start a daemon thread that :meth:`stop` joins; ``None``
         (nothing started) once shutdown has begun.
 
-        The accept loop, connection threads, watch senders and the
-        service's planners and finalizers all spawn concurrently, so
-        finished threads are pruned and the new one is recorded under
-        the lock, or an append racing the prune would be lost and never
-        joined.  The thread starts under the lock too: the prune would
-        drop it as not alive otherwise.
+        The accept loop, connection threads, watch senders, planners and
+        finalizers all spawn concurrently, so finished threads are pruned
+        and the new one is recorded under the lock, or an append racing
+        the prune would be lost and never joined.  The thread starts
+        under the lock too: the prune would drop it as not alive
+        otherwise.
         """
         with self._lock:
             if self._shutdown.is_set():
                 return None
             self._threads = [thread for thread in self._threads if thread.is_alive()]
             thread = threading.Thread(
-                target=target, args=args, daemon=True, name=f"{self.thread_stem}-{name}"
+                target=target, args=args, daemon=True, name=f"service-{name}"
             )
             self._threads.append(thread)
             thread.start()
@@ -599,6 +636,14 @@ class PointServer:
 
     def _handle(self, message: Dict, connection_id: int):
         kind = message.get("type")
+        if kind == "submit":
+            return self._submit(message, connection_id)
+        if kind == "poll":
+            return self._poll(message)
+        if kind == "cancel":
+            return self._cancel(message)
+        if kind == "jobs":
+            return self._list_jobs()
         if kind not in ("hello", "status"):
             self._touch_worker(connection_id)
         if kind == "hello":
@@ -639,7 +684,7 @@ class PointServer:
         if message.get("protocol") != PROTOCOL_VERSION:
             return {
                 "type": "done",
-                "error": f"protocol mismatch ({self.server_kind} speaks {PROTOCOL_VERSION})",
+                "error": f"protocol mismatch (service speaks {PROTOCOL_VERSION})",
             }
         name = str(message.get("worker") or f"conn-{connection_id}")
         role = str(message.get("role") or "worker")
@@ -662,7 +707,7 @@ class PointServer:
             "type": "welcome",
             "protocol": PROTOCOL_VERSION,
             "points": points,
-            "features": list(self.features),
+            "features": list(FEATURES),
         }
 
     def _touch_worker(self, connection_id: int) -> None:
@@ -702,7 +747,7 @@ class PointServer:
         while True:
             now = time.monotonic()
             with self._lock:
-                if self._finished.is_set():
+                if self._shutdown.is_set():
                     return {"type": "done"}
                 job_id, point = self._next_point_locked()
                 if point is None:
@@ -794,7 +839,7 @@ class PointServer:
         try:
             # Commit outside the lock: a disk write must not serialise the
             # other connection threads.  The point is only flagged done
-            # *after* the write lands, so no policy can see it settled
+            # *after* the write lands, so nothing can see it settled
             # while a result is still in flight.
             self._store.put(key, result, figure=point.figure)
         except BaseException:
@@ -821,16 +866,24 @@ class PointServer:
             worker = self._peers.get(connection_id, {}).get("worker")
             if worker in self._worker_stats:
                 self._worker_stats[worker]["completed"] += 1
-            after = self._credit_commit_locked(point, lease_job, worker, message)
+            finalize = self._credit_commit_locked(point, lease_job)
+        # Resume accounting: a checkpointing worker reports the cycle it
+        # resumed from (0 for a fresh start), so the event shows whether a
+        # re-leased point continued or restarted.
         resumed_from = message.get("resumed_from")
-        if isinstance(resumed_from, int) and resumed_from > 0:
-            self._count("points_resumed")
+        resumed = {}
+        if isinstance(resumed_from, int):
+            resumed["resumed_from"] = resumed_from
+            if resumed_from > 0:
+                self._count("points_resumed")
         self._count("results_committed")
         self.events.emit(
-            "point.commit", point=key, worker=worker, job=lease_job, figure=point.figure
+            "point.commit", point=key, worker=worker, job=lease_job, figure=point.figure,
+            **resumed,
         )
-        if after is not None:
-            after()
+        for job in finalize:
+            self._emit_job(job)
+            self._spawn(self._finalize_job, job, name=f"final-{job.job_id}")
         return {"type": "ack"}
 
     # ------------------------------------------------------------- failures
@@ -903,11 +956,10 @@ class PointServer:
 
     def _reaper_loop(self) -> None:
         interval = min(1.0, max(0.05, self.lease_timeout / 4))
-        # Block *on the finished event*, not in a plain sleep: the thread
-        # then exits the moment the server has nothing left to serve (or
-        # ``stop`` is called), instead of holding the process — and the
-        # listener port — for up to a full interval afterwards.
-        while not self._finished.wait(interval):
+        # Block *on the shutdown event*, not in a plain sleep: the thread
+        # then exits the moment ``stop`` is called, instead of holding
+        # ``stop`` — and the listener port — for up to a full interval.
+        while not self._shutdown.wait(interval):
             now = time.monotonic()
             with self._lock:
                 for point in list(self._points.values()):
@@ -926,115 +978,6 @@ class PointServer:
                             job=lease.job, figure=point.figure,
                         )
                         self._record_attempt(point, "lease expired (missed heartbeats)")
-
-
-class _Job:
-    """One submitted sweep and everything needed to answer polls on it."""
-
-    __slots__ = (
-        "job_id", "tenant", "request", "state", "error", "queue", "remaining",
-        "total", "executed", "reused", "results", "submitted_at", "finished_at",
-    )
-
-    def __init__(self, job_id: str, tenant: str, request: SweepRequest) -> None:
-        self.job_id = job_id
-        self.tenant = tenant
-        self.request = request
-        self.state = PLANNING
-        self.error: Optional[str] = None
-        #: Keys awaiting a lease, in planning order (stale entries — for
-        #: points another job's lease already took — are skipped on pop).
-        self.queue: deque[str] = deque()
-        #: Keys not yet committed for this job.
-        self.remaining: Set[str] = set()
-        self.total = 0
-        #: Points simulated under this job's own lease grants.
-        self.executed = 0
-        #: Points satisfied without this job simulating them: already in
-        #: the store at submit, or committed via another job's lease.
-        self.reused = 0
-        self.results: Optional[Dict[str, Dict]] = None
-        self.submitted_at = time.time()
-        self.finished_at: Optional[float] = None
-
-    def payload(self, include_results: bool = False) -> Dict:
-        """The ``poll``/``jobs`` reply body for this job."""
-        finished = self.finished_at
-        body = {
-            "type": "job",
-            "job": self.job_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "priority": self.request.priority,
-            "experiments": list(self.request.experiments),
-            "tags": list(self.request.tags),
-            "points": self.total,
-            "pending": len(self.remaining),
-            "completed": self.total - len(self.remaining),
-            "executed": self.executed,
-            "reused": self.reused,
-            "submitted_at": self.submitted_at,
-            "elapsed_seconds": (finished or time.time()) - self.submitted_at,
-        }
-        if self.error is not None:
-            body["error"] = self.error
-        if include_results and self.state == DONE and self.results is not None:
-            body["results"] = self.results
-        return body
-
-
-class SweepService(PointServer):
-    """A long-lived daemon multiplexing many sweeps over one worker fleet.
-
-    Settled points are dropped — the store answers future submits, and a
-    daemon must not hold every trace it ever planned.  Finished jobs are
-    not: each keeps its results for ``poll --results`` and ``jobs`` for
-    the daemon's lifetime (about 33 KiB for fig6+fig9+fig13+fig18 at 10k
-    instructions), so memory grows with the number of jobs served.
-    """
-
-    server_kind = thread_stem = "service"
-    features = SERVICE_FEATURES
-
-    def __init__(
-        self,
-        store,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        straggler_timeout: float = DEFAULT_STRAGGLER_TIMEOUT,
-        retry_seconds: float = DEFAULT_RETRY_SECONDS,
-        service_quantum: int = DEFAULT_SERVICE_QUANTUM,
-        clearing_interval: float = DEFAULT_CLEARING_INTERVAL,
-    ) -> None:
-        # The daemon keeps its private event bus (the base default):
-        # ``watch`` subscribers and the service journal hang off it.
-        super().__init__(
-            store, host, port,
-            lease_timeout=lease_timeout,
-            max_attempts=max_attempts,
-            straggler_timeout=straggler_timeout,
-            retry_seconds=retry_seconds,
-        )
-        self._jobs: Dict[str, _Job] = {}
-        self._job_seq = 0
-        self._scheduler = TenantScheduler(
-            service_quantum=service_quantum, clearing_interval=clearing_interval
-        )
-        self._scheduler.on_blacklist = self._on_blacklist
-        self._scheduler.on_clear = self._on_cleared
-        #: Where per-job run manifests land (persistent stores only).
-        self._manifest_dir = store.cache_dir if isinstance(store, ResultCache) else None
-        #: Durable event journal (persistent stores only).  Replaying it
-        #: before attaching makes the jobs table survive a restart.
-        self._journal: Optional[TraceJournal] = None
-        if self._manifest_dir is not None:
-            journal_path = traces_dir(self._manifest_dir) / SERVICE_JOURNAL
-            self._restore_jobs(journal_path)
-            self._journal = TraceJournal(journal_path)
-            self.events.add_sink(self._journal.write)
 
     # ------------------------------------------------------------- events
 
@@ -1109,38 +1052,6 @@ class SweepService(PointServer):
             self._log.info(
                 "restored %d job record(s) from %s", restored, journal_path
             )
-
-    # ------------------------------------------------------------- lifecycle
-
-    def start(self) -> Tuple[str, int]:
-        """Bind, start serving, and return the actual ``(host, port)``."""
-        address = super().start()
-        self._log.info("sweep service listening on %s:%s", *address)
-        return address
-
-    def serve_forever(self, poll_seconds: float = 0.5) -> None:
-        """Block until :meth:`stop` (or ``KeyboardInterrupt`` upstream)."""
-        while not self._shutdown.wait(poll_seconds):
-            pass
-
-    def stop(self) -> None:
-        """Stop accepting and serving, then close the journal; idempotent."""
-        super().stop()
-        if self._journal is not None:
-            self.events.remove_sink(self._journal.write)
-            self._journal.close()
-
-    def _handle(self, message: Dict, connection_id: int):
-        kind = message.get("type")
-        if kind == "submit":
-            return self._submit(message, connection_id)
-        if kind == "poll":
-            return self._poll(message)
-        if kind == "cancel":
-            return self._cancel(message)
-        if kind == "jobs":
-            return self._list_jobs()
-        return super()._handle(message, connection_id)
 
     # ------------------------------------------------------------- job intake
 
@@ -1263,6 +1174,7 @@ class SweepService(PointServer):
             exhausted.add(job_id)
 
     def _requeue_locked(self, point: _Point) -> None:
+        """List a point whose attempt failed for leasing again.  Lock held."""
         # Re-list the key with *every* live subscriber so whichever job
         # the scheduler favours next can carry it.
         for job_id in point.jobs:
@@ -1270,9 +1182,10 @@ class SweepService(PointServer):
             if job is not None and job.state == RUNNING:
                 job.queue.append(point.key)
 
-    def _credit_commit_locked(
-        self, point: _Point, lease_job: Optional[str], worker: Optional[str], message: Dict
-    ) -> Optional[Callable[[], None]]:
+    def _credit_commit_locked(self, point: _Point, lease_job: Optional[str]) -> List[_Job]:
+        """Credit a point committed under a lease granted for
+        ``lease_job`` to every live subscriber; returns the jobs it
+        finished, to finalize once the lock is released.  Lock held."""
         finalize: List[_Job] = []
         for job_id in point.jobs:
             job = self._jobs.get(job_id)
@@ -1290,15 +1203,11 @@ class SweepService(PointServer):
         # The store answers everything from here on; drop the point (and
         # its traces).
         del self._points[point.key]
-        return partial(self._start_finalizers, finalize) if finalize else None
-
-    def _start_finalizers(self, jobs: List[_Job]) -> None:
-        for job in jobs:
-            self._emit_job(job)
-            self._spawn(self._finalize_job, job, name=f"final-{job.job_id}")
+        return finalize
 
     def _fail_point_locked(self, point: _Point, reason: str) -> None:
-        """Fail every subscribed job, then drop the point.
+        """Fail every job subscribed to an exhausted point, then drop the
+        point.  Lock held.
 
         Dropped rather than kept failed forever: a later resubmit
         replans it from scratch with a fresh attempt budget (transient
@@ -1452,17 +1361,6 @@ class SweepService(PointServer):
             )
         except OSError:
             self._log.warning("job %s: manifest write failed", job.job_id)
-
-    # ------------------------------------------------------------- status
-
-    def status_payload(self) -> Dict:
-        """The live ``status`` reply plus a jobs table and the fairness
-        scheduler's state."""
-        payload = super().status_payload()
-        with self._lock:
-            payload["jobs"] = {job_id: job.payload() for job_id, job in self._jobs.items()}
-            payload["scheduler"] = self._scheduler.snapshot()
-        return payload
 
 
 #: Sentinel handler return: close the connection without replying.

@@ -1,21 +1,21 @@
-"""Worker loop: lease points from a server, simulate, stream results.
+"""Worker loop: lease points from a ``repro serve`` daemon, simulate,
+stream results.
 
-The server is a ``repro serve`` daemon or a library-run coordinator;
-the worker speaks the same protocol to both.  A worker is stateless —
-it holds nothing but the point it is currently simulating.  While a
-simulation runs, a background thread sends heartbeats so the server
-keeps the lease alive; the simulation
-itself goes through :func:`repro.sim.runner.simulate_traces` (the
+A worker is stateless — it holds nothing but the point it is currently
+simulating.  While a simulation runs, a background thread sends
+heartbeats so the service keeps the lease alive; the simulation itself
+goes through :func:`repro.sim.runner.simulate_traces` (the
 repository-wide choke point), so a worker honours the same engine
 selection and produces the same bits as an in-process run.
 
-Run one from the CLI on any machine that can reach the server::
+Run one from the CLI on any machine that can reach the service::
 
     PYTHONPATH=src python -m repro worker --target HOST:PORT
 
-Against a coordinator the worker exits once told its batch is ``done``.
-A service never runs out of work, so against one the worker runs until
-the connection drops (the daemon stops, or the worker is killed).
+A service never runs out of work, so a worker runs until the connection
+drops (the daemon stops, or the worker is killed) or a lease is answered
+``done`` (the service is stopping).  :func:`spawn_local_worker` starts
+one as a localhost process; ``repro serve --workers N`` uses it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from .. import telemetry
@@ -96,7 +99,7 @@ class _Interrupted(Exception):
 
 class _WireCheckpointStore:
     """Checkpoint ``resume``/``put`` interface that streams to the
-    server (coordinator or service) instead of a directory.
+    service instead of a directory.
 
     One instance serves one leased point: ``resume`` rehydrates the
     snapshot the server attached to the ``work`` reply (falling back to
@@ -123,7 +126,7 @@ class _WireCheckpointStore:
         try:
             system = ckpt.restore(data, traces=traces, config=config)
         except ckpt.CheckpointError:
-            # A stale or mismatched snapshot (coordinator restarted with
+            # A stale or mismatched snapshot (service restarted with
             # different points, version skew): restart from scratch.
             telemetry.counter("worker.checkpoint_rejects")
             return None
@@ -147,8 +150,7 @@ def run_worker(
     checkpoint_interval: Optional[int] = None,
     log=None,
 ) -> WorkerStats:
-    """Serve one coordinator or service until told ``done`` or the
-    connection drops.
+    """Serve one service until told ``done`` or the connection drops.
 
     ``connect`` is ``HOST:PORT``.  Returns the worker's tally; raises
     ``OSError`` if the server cannot be reached at all.
@@ -165,7 +167,7 @@ def run_worker(
     log = log or logs.get_logger("worker", worker_id).info
     stats = WorkerStats()
     # Worker-side telemetry.  ``registry`` holds the worker's own tallies;
-    # snapshots sent to the coordinator additionally fold in the process
+    # snapshots sent to the service additionally fold in the process
     # registry, which carries the engine/cache metrics recorded by the
     # simulations themselves (a dedicated worker process records nothing
     # else into it; in-process test workers share it, which merely makes
@@ -199,14 +201,14 @@ def run_worker(
         send(hello_message(worker_id, pid=os.getpid()))
         welcome = receive()
         if welcome is None or welcome.get("type") != "welcome":
-            error = (welcome or {}).get("error", "coordinator refused the hello")
+            error = (welcome or {}).get("error", "service refused the hello")
             raise ConnectionError(f"handshake failed: {error}")
-        # Feature negotiation: only coordinators that advertised the
-        # ``metrics`` kind receive telemetry snapshots — an old
-        # coordinator answers unknown kinds with ``done``, which would
-        # shut this worker down mid-run.  Checkpoint streaming is gated
-        # the same way: against an old coordinator the worker simply
-        # runs every point straight through.
+        # Feature negotiation: only servers that advertised the
+        # ``metrics`` kind receive telemetry snapshots — an old server
+        # answers unknown kinds with ``done``, which would shut this
+        # worker down mid-run.  Checkpoint streaming is gated the same
+        # way: against an old server the worker simply runs every point
+        # straight through.
         features = peer_features(welcome)
         send_metrics = "metrics" in features
         send_checkpoints = checkpoint_interval is not None and "checkpoint" in features
@@ -257,7 +259,7 @@ def run_worker(
                         else:
                             result = simulate_traces(unit.traces, unit.config)
             except _Interrupted:
-                # The final checkpoint is already with the coordinator;
+                # The final checkpoint is already with the service;
                 # disconnect cleanly so the point is requeued promptly.
                 log("stop requested; final checkpoint streamed, exiting")
                 registry.counter("worker.interrupted")
@@ -273,9 +275,9 @@ def run_worker(
                 registry.observe("worker.point_seconds", time.perf_counter() - started)
                 message = {"type": "result", "key": key, "result": result_to_wire(result)}
                 if store is not None:
-                    # Resume accounting: lets the coordinator (and the
-                    # resume regression tests) verify a re-leased point
-                    # continued rather than restarted.
+                    # Resume accounting: the service's ``point.commit``
+                    # event shows whether a re-leased point continued
+                    # rather than restarted.
                     message["resumed_from"] = store.resumed_from
                     message["simulated_cycles"] = result.total_cycles - store.resumed_from
                 send(message)
@@ -290,7 +292,7 @@ def run_worker(
                 break
     except ValueError as exc:
         # A garbled or oversized frame: the stream is unrecoverable, but
-        # the worker should exit cleanly (the coordinator requeues the
+        # the worker should exit cleanly (the service requeues the
         # leased point when the connection drops) rather than traceback.
         log(f"protocol error, disconnecting: {exc}")
     finally:
@@ -306,3 +308,35 @@ def run_worker(
             pass
     log(f"done: {stats.simulated} simulated, {stats.errors} errors")
     return stats
+
+
+def spawn_local_worker(
+    host: str, port: int, index: int = 0, checkpoint_interval: Optional[int] = None
+) -> subprocess.Popen:
+    """Start ``python -m repro worker`` as a detached localhost process.
+
+    The child inherits the environment with this package's ``src`` root
+    prepended to ``PYTHONPATH``, so self-spawned workers run the exact
+    code of the serving process without an install step.  (No engine
+    forwarding is needed: the engine selection travels inside each
+    leased unit's config.)
+    """
+    import repro
+
+    src_root = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(src_root) + (os.pathsep + existing if existing else "")
+    command = [
+        sys.executable,
+        "-m",
+        "repro",
+        "worker",
+        "--target",
+        f"{host}:{port}",
+        "--id",
+        f"local-{index}",
+    ]
+    if checkpoint_interval is not None:
+        command += ["--checkpoint-interval", str(checkpoint_interval)]
+    return subprocess.Popen(command, env=env)

@@ -9,7 +9,7 @@ Public surface:
   manifests, and the mapping-of-data-dicts result it produces.
 * :func:`~repro.orchestration.sweep.sweep_experiments` — the one way
   to run a sweep: figures replay from a content-addressed store, and an
-  optional executor (serial, process pool, distributed) first runs the
+  optional executor (serial or process pool) first runs the
   points :func:`~repro.orchestration.sweep.plan_units` found missing.
   Output is bit-identical to a serial run by construction.
 * :func:`~repro.orchestration.request.parse_target` — parser for the

@@ -153,6 +153,8 @@ class ResultCache:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
+            if not isinstance(payload, dict):
+                raise TypeError("entry is not a JSON object")
             if payload.get("schema") != SCHEMA_VERSION:
                 self.misses += 1
                 telemetry.counter("cache.misses")

@@ -18,9 +18,11 @@ Built-ins:
   :func:`~repro.orchestration.sweep.sweep_experiments`).
 * :class:`ProcessPoolExecutor` — a local ``multiprocessing`` pool
   (``--target process[:N]``).
-* :class:`~repro.distributed.DistributedExecutor` (in
-  :mod:`repro.distributed`) — shards points across worker processes on
-  any machines via the coordinator/worker protocol.
+
+Worker fleets on any machines are reached through the ``repro serve``
+daemon instead (:mod:`repro.distributed`, ``--target HOST:PORT``): it
+plans and replays each submitted sweep itself, with the same planner and
+replay as :func:`~repro.orchestration.sweep.sweep_experiments`.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ has up to three phases:
    trace-generation cost only.
 2. **Execute** (:func:`execute_units`).  Hand the points that are not
    already in the result store to an :class:`~.executors.Executor`:
-   serial, a local process pool or a distributed fleet.  Completion
-   order does not matter because results land in a content-addressed
-   store.
+   serial or a local process pool.  Completion order does not matter
+   because results land in a content-addressed store.
 3. **Replay** (:func:`replay`).  Run the experiments again with a
    :class:`CacheServingBackend` installed, so every simulation is served
    from the store.  Because the replay *is* the serial code path,
@@ -357,12 +356,11 @@ def sweep_experiments(
     or fig9 reusing fig6's simulations) are simulated at most once across
     the batch.
 
-    With an ``executor`` — serial, local process pool or
-    :class:`~repro.distributed.DistributedExecutor` — the sweep plans,
-    lets the executor run the missing points, then replays; without one
-    the replay simulates its own misses.  Either way the data dicts are
-    bit-identical to calling each ``module.run`` serially, and the stats
-    count the distinct points the replay read.
+    With an ``executor`` — serial or local process pool — the sweep
+    plans, lets the executor run the missing points, then replays;
+    without one the replay simulates its own misses.  Either way the
+    data dicts are bit-identical to calling each ``module.run`` serially,
+    and the stats count the distinct points the replay read.
     """
     if not isinstance(request, SweepRequest):
         raise TypeError(f"sweep_experiments takes a SweepRequest, got {type(request).__name__}")

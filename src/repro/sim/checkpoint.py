@@ -26,6 +26,9 @@ Format (all stdlib):
 * the **content digest** is the SHA-256 of the kernel bytes.  Pickling
   is structure-driven, so ``snapshot(restore(snapshot(sys)))`` carries
   the same digest — the round-trip property the checkpoint tests pin.
+  The kernel records no host wall time (``System._elapsed_seconds`` is
+  written as ``0.0``), so the same paused state gives the same digest in
+  every process, and a restored run times only its own process.
 
 The request-id counter (:mod:`repro.controller.request`) is process
 global; BLISS tie-breaks compare ids, but only their *relative* order
@@ -198,7 +201,11 @@ def _external_index(traces: Sequence[Trace]) -> Dict[int, Tuple]:
 
 def _dump_kernel(system: System) -> bytes:
     buffer = io.BytesIO()
-    _KernelPickler(buffer, _external_index(system.traces)).dump(system)
+    elapsed, system._elapsed_seconds = system._elapsed_seconds, 0.0
+    try:
+        _KernelPickler(buffer, _external_index(system.traces)).dump(system)
+    finally:
+        system._elapsed_seconds = elapsed
     return buffer.getvalue()
 
 

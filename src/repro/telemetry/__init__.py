@@ -11,7 +11,7 @@ Six small pieces, all standard library:
   plus the Chrome trace-event exporter and engine-profile renderer,
 * :mod:`.manifest` — one persisted run manifest per sweep, written next
   to the content-addressed cache,
-* :mod:`.status` — client + validation for the coordinator's live
+* :mod:`.status` — client + validation for the sweep service's live
   ``status`` payload (the ``repro status`` view),
 * :mod:`.logs` — the shared ``logging`` setup behind
   ``--verbose``/``--quiet``.

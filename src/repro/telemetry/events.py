@@ -42,7 +42,7 @@ class EventBus:
     """Thread-safe fan-out of structured events.
 
     One bus per event domain: the sweep orchestrator uses the process
-    bus (:func:`bus`), while each coordinator/service instance owns a
+    bus (:func:`bus`), while each sweep service instance owns a
     private bus so tests and co-located daemons never cross-talk.
     """
 

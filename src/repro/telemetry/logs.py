@@ -1,12 +1,12 @@
 """One `logging` setup for every CLI entry point.
 
-The worker and coordinator used to print ad-hoc diagnostics straight to
+Workers and servers used to print ad-hoc diagnostics straight to
 stderr, each with its own prefix convention.  Everything now flows
 through the standard :mod:`logging` tree under the ``repro`` root
-logger: a worker logs as ``repro.worker.<id>``, the coordinator as
-``repro.coordinator``, sweeps as ``repro.sweep`` — so every line carries
-a timestamp, the component (and worker id) and a level, and
-``--verbose``/``--quiet`` tune the whole process at once.
+logger: a worker logs as ``repro.worker.<id>`` and the sweep service
+as ``repro.service`` — so every line carries a timestamp, the
+component (and worker id) and a level, and ``--verbose``/``--quiet``
+tune the whole process at once.
 """
 
 from __future__ import annotations

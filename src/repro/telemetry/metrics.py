@@ -42,7 +42,7 @@ SNAPSHOT_SCHEMA = 1
 class MetricsRegistry:
     """A named bag of counters, gauges and timers.
 
-    Thread-safe: coordinator connection threads, worker heartbeats and
+    Thread-safe: service connection threads, worker heartbeats and
     pool callbacks all record into the same process registry.  The lock
     is only ever held for a few dict operations, and recording happens
     at per-simulation / per-point granularity — never per cycle — so the

@@ -1,13 +1,14 @@
 """Client side of the live status surface (``repro status``).
 
-A running coordinator answers ``{"type": "status"}`` with a structured
-payload: fleet progress, per-worker liveness and lease state, cache hit
-rate and per-figure completion/ETA.  This module fetches that payload
-over the ordinary JSON-lines protocol, validates its shape (CI smoke
-tests fail a run on malformed metrics), and renders it for a terminal.
+A running sweep service answers ``{"type": "status"}`` with a
+structured payload: fleet progress, per-worker liveness and lease
+state, cache hit rate, per-figure completion/ETA and the jobs table.
+This module fetches that payload over the ordinary JSON-lines protocol,
+validates its shape (CI smoke tests fail a run on malformed metrics),
+and renders it for a terminal.
 
 The fetch is a plain one-shot request/response on a fresh connection:
-the coordinator treats a status client like any other peer, so polling
+the service treats a status client like any other peer, so polling
 never interferes with lease accounting or worker heartbeats.
 """
 
@@ -44,12 +45,11 @@ REQUIRED_FIELDS = (
 
 
 def fetch_status(address: Tuple[str, int], timeout: float = 5.0) -> Dict:
-    """One status payload from the coordinator at ``address``.
+    """One status payload from the service at ``address``.
 
-    Raises ``OSError`` if the coordinator is unreachable and
-    ``ValueError`` if it answers with something other than a status
-    payload (e.g. a pre-telemetry coordinator that does not speak the
-    message kind).
+    Raises ``OSError`` if the service is unreachable and ``ValueError``
+    if it answers with something other than a status payload (e.g. a
+    pre-telemetry server that does not speak the message kind).
     """
     with open_connection(address, timeout=timeout) as sock:
         sock.sendall(encode_message({"type": "status", "protocol": PROTOCOL_VERSION}))
@@ -59,10 +59,10 @@ def fetch_status(address: Tuple[str, int], timeout: float = 5.0) -> Dict:
         finally:
             reader.close()
     if reply is None:
-        raise ValueError("coordinator closed the connection without a status reply")
+        raise ValueError("service closed the connection without a status reply")
     if reply.get("type") != "status":
         detail = reply.get("error") or reply.get("type")
-        raise ValueError(f"coordinator does not support status queries ({detail!r})")
+        raise ValueError(f"peer does not support status queries ({detail!r})")
     return reply
 
 
@@ -81,8 +81,8 @@ def validate_status(payload: Dict) -> List[str]:
     if "metrics" not in problems:
         if not isinstance(metrics, dict) or not isinstance(metrics.get("counters"), dict):
             problems.append("metrics")
-    # Service-only fields: validated when present, never required — a
-    # plain coordinator (or an older service) simply omits them.
+    # Validated when present, never required: an older build's one-shot
+    # coordinator omits them.
     if "jobs" in payload and not isinstance(payload.get("jobs"), dict):
         problems.append("jobs")
     if "scheduler" in payload and not isinstance(payload.get("scheduler"), dict):
@@ -173,8 +173,8 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
             f"completed {worker.get('completed', 0)}, last seen {seen}"
         )
 
-    # Jobs table: only services report one (a plain coordinator has no
-    # notion of jobs, so the field is simply absent).
+    # Jobs table: absent from an older build's one-shot coordinator,
+    # which has no notion of jobs.
     jobs = payload.get("jobs")
     if isinstance(jobs, dict):
         if not jobs:
@@ -205,9 +205,7 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
     counters = (payload.get("metrics") or {}).get("counters") or {}
 
     def _counter(name: str) -> int:
-        # Coordinator and service use prefixed counter names; show
-        # whichever peer answered.
-        return counters.get(f"coordinator.{name}", 0) + counters.get(f"service.{name}", 0)
+        return counters.get(f"service.{name}", 0)
 
     lines.append(
         f"leases   {_counter('lease_grants')} granted, "

@@ -84,6 +84,14 @@ class TestFormat:
             checkpoint.content_digest(data)
         )
 
+    def test_digest_records_no_host_wall_time(self):
+        """The same paused state digests the same however long the host
+        took to reach it, so digests agree across processes."""
+        system = paused_system(make_config(), stop_at=1_000)
+        first = checkpoint.content_digest(checkpoint.snapshot(system))
+        system._elapsed_seconds += 1.0
+        assert checkpoint.content_digest(checkpoint.snapshot(system)) == first
+
     def test_snapshot_carries_kernel_state_only(self):
         # Nothing bulky rides along with the kernel: the 2-core fixture
         # snapshots to a few KiB fresh, mid-run and once its run has

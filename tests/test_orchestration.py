@@ -139,21 +139,25 @@ class TestResultCache:
         assert ResultCache(tmp_path).get(key) is None
 
     def test_corrupt_entry_is_deleted_on_read(self, tmp_path, simulated):
-        """A worker killed mid-write must not leave a poisoned entry behind."""
+        """A worker killed mid-write must not leave a poisoned entry behind,
+        and valid JSON that is not an object is just as corrupt."""
         trace, config, result = simulated
         key = point_key([trace], config)
-        cache = ResultCache(tmp_path)
-        cache.put(key, result)
         path = tmp_path / key[:2] / f"{key}.json"
-        # Truncate mid-document, as a SIGKILL during a non-atomic write would.
-        path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
-        fresh = ResultCache(tmp_path)
-        assert fresh.get(key) is None
-        assert not path.exists()
-        assert len(fresh) == 0
-        # The slot is immediately reusable.
-        fresh.put(key, result)
-        assert ResultCache(tmp_path).get(key) == result
+        ResultCache(tmp_path).put(key, result)
+        # Truncated mid-document, as a SIGKILL during a non-atomic write
+        # would leave it, then four documents that are not objects.
+        truncated = path.read_text(encoding="utf-8")[:40]
+        for body in (truncated, "[1, 2]", "null", '"x"', "3"):
+            path.write_text(body, encoding="utf-8")
+            fresh = ResultCache(tmp_path)
+            assert fresh.get(key) is None, body
+            assert fresh.misses == 1, body
+            assert not path.exists(), body
+            assert len(fresh) == 0, body
+            # The slot is immediately reusable.
+            fresh.put(key, result)
+            assert ResultCache(tmp_path).get(key) == result, body
 
     def test_schema_mismatch_is_a_miss_but_not_deleted(self, tmp_path, simulated):
         trace, config, result = simulated

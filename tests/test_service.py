@@ -11,7 +11,6 @@ overlapping points simulated exactly once.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -20,15 +19,14 @@ import pytest
 
 from repro import telemetry
 from repro.distributed import (
-    Coordinator,
     ServiceError,
     SweepClient,
     SweepService,
     TenantScheduler,
     WatchClient,
-    run_worker,
 )
 from repro.distributed.protocol import (
+    PROTOCOL_VERSION,
     checkpoint_message,
     decode_message,
     encode_message,
@@ -38,16 +36,20 @@ from repro.distributed.protocol import (
 )
 from repro.orchestration import (
     InMemoryResultStore,
+    ResultCache,
     SweepRequest,
-    canonical_data,
     sweep_experiments,
 )
 from repro.sim import checkpoint
 from repro.sim.system import System
-from tests.test_distributed import make_unit
-
-#: Service knobs tuned so fault-handling paths fire inside a test run.
-FAST = dict(lease_timeout=0.4, straggler_timeout=0.3, retry_seconds=0.05)
+from tests.test_distributed import (
+    FAST,
+    FIG5,
+    PATIENT,
+    dumps,
+    start_worker_thread,
+    wait_until,
+)
 
 
 # ----------------------------------------------------------------- scheduler
@@ -230,7 +232,6 @@ def service():
         svc.stop()
 
 
-FIG5 = SweepRequest(experiments=("fig5",), instructions=1500)
 FIG6 = SweepRequest(experiments=("fig6",), instructions=1500)
 BOTH = SweepRequest(experiments=("fig5", "fig6"), instructions=1500)
 
@@ -306,14 +307,29 @@ class TestServiceProtocol:
         client.close()
 
     def test_sweep_client_refuses_plain_coordinator(self):
-        unit = make_unit()
-        coordinator = Coordinator([unit], InMemoryResultStore())
-        host, port = coordinator.start()
-        try:
+        """A peer whose welcome lacks ``jobs`` is refused up front: an
+        older build's one-shot coordinator speaks protocol 2 too."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer():
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as stream:
+                    assert decode_message(stream.readline())["type"] == "hello"
+                    welcome = {
+                        "type": "welcome",
+                        "protocol": PROTOCOL_VERSION,
+                        "points": 1,
+                        "features": ["metrics", "status", "watch", "checkpoint"],
+                    }
+                    connection.sendall(encode_message(welcome))
+                    stream.readline()  # the client's goodbye, or EOF
+
+            peer = threading.Thread(target=answer, daemon=True)
+            peer.start()
+            host, port = listener.getsockname()
             with pytest.raises(ServiceError, match="job submissions"):
                 SweepClient(f"{host}:{port}")
-        finally:
-            coordinator.stop()
+            peer.join(timeout=5)
 
 
 # ----------------------------------------------------------------- fairness (service level)
@@ -364,24 +380,6 @@ class TestServiceFairness:
 
 
 # ----------------------------------------------------------------- equivalence
-
-
-def start_worker_thread(address, name, **kwargs):
-    host, port = address
-
-    def serve():
-        try:
-            run_worker(f"{host}:{port}", worker_id=name, log=lambda text: None, **kwargs)
-        except OSError:
-            pass  # service shut down mid-request
-
-    thread = threading.Thread(target=serve, daemon=True, name=name)
-    thread.start()
-    return thread
-
-
-def dumps(results) -> str:
-    return json.dumps(canonical_data(dict(results)), indent=2, sort_keys=True)
 
 
 class TestTwoClientEquivalence:
@@ -491,13 +489,6 @@ class TestTwoClientEquivalence:
 # ----------------------------------------------------------------- sockets & shutdown
 
 
-def wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.01)
-
-
 def nodelay(connection) -> int:
     return connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
@@ -535,19 +526,6 @@ class TestNoDelay:
             svc.stop()
             if worker is not None:
                 worker.join(timeout=5)
-
-    def test_coordinator_accepted_connections(self):
-        coordinator = Coordinator([make_unit()], InMemoryResultStore())
-        address = coordinator.start()
-        try:
-            with WatchClient(address) as watcher:
-                assert watcher.supports_watch
-                with coordinator._lock:
-                    accepted = list(coordinator._connections.values())
-                assert len(accepted) == 1
-                assert nodelay(accepted[0]) and nodelay(watcher._connection)
-        finally:
-            coordinator.stop()
 
 
 class TestServiceShutdown:
@@ -593,11 +571,6 @@ class TestServiceShutdown:
 
 
 # ----------------------------------------------------------------- service fault tolerance
-
-
-#: Lease and straggler windows no hand-driven step can outlast, so only
-#: the disconnects and error reports a test sends requeue anything.
-PATIENT = dict(lease_timeout=30.0, straggler_timeout=60.0, retry_seconds=0.05)
 
 
 def lease_for_job(worker, job_id, attempts=20):
@@ -689,9 +662,8 @@ class TestServiceFaultTolerance:
 
 
 class TestServiceCheckpointResume:
-    """Checkpointing workers serve a service exactly as they serve a
-    coordinator: the service stores each streamed snapshot and attaches
-    it to the point's next lease."""
+    """Checkpointing workers stay in the fleet: the service stores each
+    streamed snapshot and attaches it to the point's next lease."""
 
     def test_checkpointing_worker_drains_a_job_and_stays_connected(self):
         svc = SweepService(InMemoryResultStore(), **FAST)
@@ -746,6 +718,35 @@ class TestServiceCheckpointResume:
                 assert dumps(client.results(job_id)) == dumps(serial.data)
             counters = svc.status_payload()["metrics"]["counters"]
             assert counters["service.points_resumed"] == 1
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+
+
+# ----------------------------------------------------------------- store faults
+
+
+class TestServiceStore:
+    def test_non_object_store_entry_is_resimulated(self, tmp_path):
+        """A store entry that is valid JSON but not an object is corrupt:
+        planning deletes and resimulates it instead of dying, so the job
+        does not stay ``planning`` forever."""
+        serial = sweep_experiments(FIG5, store=InMemoryResultStore())
+        store = ResultCache(tmp_path)
+        path = store._path(sorted(serial.stats.points)[0])
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("[1, 2]", encoding="utf-8")
+        svc = SweepService(store, **FAST)
+        address = svc.start()
+        worker = None
+        try:
+            worker = start_worker_thread(address, "resimulator")
+            with SweepClient(address) as client:
+                status = client.wait(client.submit(FIG5), timeout=30)
+                assert status.state == "done"
+                assert status.executed == status.points
+                assert dumps(client.results(status.job_id)) == dumps(serial.data)
         finally:
             svc.stop()
             if worker is not None:

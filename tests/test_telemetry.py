@@ -3,7 +3,7 @@
 Covers the metrics registry's snapshot-and-merge algebra (the
 commutative/associative rules that make fleet aggregation
 deterministic), the observe-only hooks threaded through the engines and
-the result cache, run manifests, the coordinator's live status surface
+the result cache, run manifests, the sweep service's live status surface
 (including version tolerance of the feature negotiation), the logging
 setup, and the CLI's ``status``/``runs`` subcommands — ending with the
 acceptance bar: a telemetry-enabled run's JSON export is byte-identical
@@ -16,22 +16,16 @@ import dataclasses
 import json
 import logging
 import socket
-import threading
-import time
 
 import pytest
 
 from repro import telemetry
 from repro.cpu.trace import Trace, TraceEntry
-from repro.distributed import Coordinator, run_worker
+from repro.distributed import SweepService
 from repro.distributed.protocol import (
     FEATURES,
-    decode_message,
-    encode_message,
-    hello_message,
     metrics_message,
     peer_features,
-    result_to_wire,
     unit_from_wire,
     unit_to_wire,
 )
@@ -62,6 +56,14 @@ from repro.telemetry.status import (
 from repro.workloads.mixes import ROW_OFFSET_STRIDE
 from repro.workloads.suites import applications_by_category
 from repro.workloads.synthetic import generate_application_trace
+from tests.test_distributed import (
+    FAST,
+    FakeWorker,
+    Fig5Job,
+    simulate,
+    start_worker_thread,
+    wait_until,
+)
 
 
 def make_trace(name: str = "t", rng: bool = False, seed: int = 0, entries: int = 64) -> Trace:
@@ -394,67 +396,21 @@ class TestRunManifests:
 # ----------------------------------------------------------------- status surface
 
 
-FAST = dict(lease_timeout=0.4, straggler_timeout=0.3, retry_seconds=0.05)
-
-
-class FakeWorker:
-    """A hand-driven protocol client for exercising the coordinator."""
-
-    def __init__(self, address, name="fake"):
-        self.connection = socket.create_connection(address)
-        self.stream = self.connection.makefile("rb")
-        self.send(hello_message(name))
-        self.welcome = self.receive()
-        assert self.welcome["type"] == "welcome"
-
-    def send(self, payload):
-        self.connection.sendall(encode_message(payload))
-
-    def receive(self):
-        return decode_message(self.stream.readline())
-
-    def lease_work(self, attempts=50):
-        for _ in range(attempts):
-            self.send({"type": "lease"})
-            reply = self.receive()
-            if reply["type"] in ("work", "done"):
-                return reply
-            time.sleep(reply.get("seconds", 0.05))
-        raise AssertionError("coordinator never handed out work")
-
-    def finish(self, key, result):
-        self.send({"type": "result", "key": key, "result": result_to_wire(result)})
-        assert self.receive()["type"] == "ack"
-
-    def close(self):
-        try:
-            self.connection.close()
-        except OSError:
-            pass
-
-
-@pytest.fixture
-def unit_and_result():
-    unit = make_unit(figure="fig6")
-    return unit, System(unit.traces, unit.config).run()
-
-
 class TestStatusSurface:
-    def test_welcome_advertises_features_and_peer_features_parses(self, unit_and_result):
-        unit, _ = unit_and_result
-        coordinator = Coordinator([unit], InMemoryResultStore(), **FAST)
-        address = coordinator.start()
+    def test_welcome_advertises_features_and_peer_features_parses(self):
+        service = SweepService(InMemoryResultStore(), **FAST)
+        address = service.start()
         try:
             worker = FakeWorker(address)
             features = peer_features(worker.welcome)
             assert features == frozenset(FEATURES)
-            assert "metrics" in features and "status" in features
+            assert {"metrics", "status", "jobs"} <= features
             worker.close()
         finally:
-            coordinator.stop()
+            service.stop()
 
     def test_peer_features_tolerates_pre_telemetry_welcome(self):
-        # An old coordinator sends no features field at all; a hostile or
+        # An old server sends no features field at all; a hostile or
         # garbled one may send the wrong type.  Both map to "send nothing
         # optional", the original message set.
         assert peer_features({"type": "welcome"}) == frozenset()
@@ -463,17 +419,14 @@ class TestStatusSurface:
             frozenset({"status"})
         )
 
-    def test_status_payload_shape_and_live_progress(self, unit_and_result):
-        unit, result = unit_and_result
-        store = InMemoryResultStore()
-        coordinator = Coordinator([unit], store, **FAST)
-        address = coordinator.start()
-        try:
-            payload = coordinator.status_payload()
+    def test_status_payload_shape_and_live_progress(self):
+        with Fig5Job(**FAST) as job:
+            service, address = job.service, job.address
+            payload = service.status_payload()
             assert validate_status(payload) == []
-            assert payload["points"] == 1
+            assert payload["points"] == 6
             assert payload["completed"] == 0
-            assert payload["figures"]["fig6"]["points"] == 1
+            assert payload["figures"]["fig5"]["points"] == 6
             assert payload["workers"] == {}
 
             worker = FakeWorker(address, name="w1")
@@ -486,33 +439,29 @@ class TestStatusSurface:
             assert mid["workers"]["w1"]["last_seen_seconds"] is not None
 
             # The worker streams a cumulative telemetry snapshot; the
-            # coordinator folds the latest one into the fleet view.
+            # service folds the latest one into the fleet view.
             registry = telemetry.MetricsRegistry()
             registry.counter("worker.points")
             worker.send(metrics_message("w1", registry.snapshot()))
-            worker.finish(unit.key, result)
-            assert coordinator.wait(timeout=5)
+            worker.finish(work["unit"]["key"], simulate(work))
+            worker.drain()
+            assert job.wait().state == "done"
 
             final = fetch_status(address)
             assert validate_status(final) == []
-            assert final["completed"] == 1
-            assert final["figures"]["fig6"]["completed"] == 1
-            assert final["figures"]["fig6"]["eta_seconds"] == 0.0
-            assert final["workers"]["w1"]["completed"] == 1
+            assert final["completed"] == 6
+            assert final["figures"]["fig5"]["completed"] == 6
+            assert final["figures"]["fig5"]["eta_seconds"] == 0.0
+            assert final["workers"]["w1"]["completed"] == 6
             counters = final["metrics"]["counters"]
-            assert counters["coordinator.lease_grants"] >= 1
-            assert counters["coordinator.results_committed"] == 1
+            assert counters["service.lease_grants"] >= 6
+            assert counters["service.results_committed"] == 6
             assert counters["worker.points"] == 1
-            assert coordinator.fleet_metrics()["counters"]["worker.points"] == 1
-            assert "w1" in coordinator.worker_snapshots()
             worker.close()
-        finally:
-            coordinator.stop()
 
-    def test_repeated_metrics_snapshots_are_not_double_counted(self, unit_and_result):
-        unit, _ = unit_and_result
-        coordinator = Coordinator([unit], InMemoryResultStore(), **FAST)
-        address = coordinator.start()
+    def test_repeated_metrics_snapshots_are_not_double_counted(self):
+        service = SweepService(InMemoryResultStore(), **FAST)
+        address = service.start()
         try:
             worker = FakeWorker(address, name="w1")
             registry = telemetry.MetricsRegistry()
@@ -520,11 +469,13 @@ class TestStatusSurface:
                 registry.counter("worker.waits")
                 worker.send(metrics_message("w1", registry.snapshot()))
             # metrics messages get no reply; a lease round-trip flushes them.
-            worker.lease_work()
-            assert coordinator.fleet_metrics()["counters"]["worker.waits"] == 3
+            worker.send({"type": "lease"})
+            assert worker.receive()["type"] == "wait"
+            counters = service.status_payload()["metrics"]["counters"]
+            assert counters["worker.waits"] == 3
             worker.close()
         finally:
-            coordinator.stop()
+            service.stop()
 
     def test_validate_status_flags_malformed_payloads(self):
         assert validate_status({}) == list(REQUIRED_FIELDS)
@@ -557,7 +508,7 @@ class TestStatusSurface:
             "points_per_second": 0.25,
             "cache": {"hits": 3, "misses": 1},
             "figures": {"fig6": {"points": 4, "completed": 2, "eta_seconds": 8.0}},
-            "metrics": {"counters": {"coordinator.lease_grants": 3}},
+            "metrics": {"counters": {"service.lease_grants": 3}},
         }
         rendered = format_status(payload)
         assert "2/4 done" in rendered
@@ -567,40 +518,34 @@ class TestStatusSurface:
         assert "3 granted" in rendered
 
     def test_fetch_status_raises_on_unreachable_coordinator(self):
+        """Nothing listens on the port, so the fetch raises."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         with pytest.raises(OSError):
             fetch_status(("127.0.0.1", port), timeout=0.5)
 
-    def test_worker_streams_metrics_end_to_end(self, unit_and_result):
-        unit, _ = unit_and_result
-        store = InMemoryResultStore()
-        coordinator = Coordinator([unit], store, **FAST)
-        host, port = coordinator.start()
-        try:
-            with telemetry.isolated():
-                thread = threading.Thread(
-                    target=run_worker,
-                    args=(f"{host}:{port}",),
-                    kwargs={"worker_id": "inproc"},
-                    daemon=True,
-                )
-                thread.start()
-                assert coordinator.wait(timeout=30)
-                thread.join(timeout=10)
-            snapshots = coordinator.worker_snapshots()
-            assert "inproc" in snapshots
-            counters = snapshots["inproc"]["counters"]
-            assert counters["worker.points"] == 1
-            assert snapshots["inproc"]["timers"]["worker.point_seconds"]["count"] == 1
-            fleet = coordinator.fleet_metrics()["counters"]
-            assert fleet["worker.points"] == 1
-            assert fleet["coordinator.results_committed"] == 1
-            # The worker's simulation itself reported engine telemetry.
-            assert fleet["sim.runs"] >= 1
-        finally:
-            coordinator.stop()
+    def test_worker_streams_metrics_end_to_end(self):
+        with Fig5Job(**FAST) as job, telemetry.isolated():
+            thread = start_worker_thread(job.address, "inproc")
+            assert job.wait().state == "done"
+            # The worker reports right after each ack, so the snapshot
+            # following the last commit may trail the job's replay.
+            service = job.service
+            wait_until(
+                lambda: service.status_payload()["metrics"]["counters"].get("worker.points") == 6
+            )
+            assert "inproc" in service.status_payload()["workers"]
+            metrics = service.status_payload()["metrics"]
+            service.stop()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        # Only the one worker reports worker.* names, so the fleet merge
+        # carries exactly its snapshot.
+        assert metrics["timers"]["worker.point_seconds"]["count"] == 6
+        assert metrics["counters"]["service.results_committed"] == 6
+        # The worker's simulation itself reported engine telemetry.
+        assert metrics["counters"]["sim.runs"] >= 1
 
     def test_unit_figure_survives_the_wire(self):
         unit = make_unit(figure="fig6")
@@ -669,23 +614,22 @@ class TestLogs:
 
 class TestCLI:
     def test_status_subcommand_against_live_coordinator(self, capsys):
+        """`repro status` against a live service."""
         from repro.__main__ import main
 
-        unit = make_unit(figure="fig6")
-        coordinator = Coordinator([unit], InMemoryResultStore(), **FAST)
-        host, port = coordinator.start()
-        try:
+        with Fig5Job(**FAST) as job:
+            host, port = job.address
             assert main(["status", "--target", f"{host}:{port}"]) == 0
             captured = capsys.readouterr()
-            assert "points   0/1 done" in captured.out
-            assert "fig6" in captured.out
+            assert captured.out.startswith(f"service {host}:{port}\n")
+            assert "points   0/6 done" in captured.out
+            assert "fig5" in captured.out
             assert "workers  (none connected yet)" in captured.out
+            assert f"job      {job.job_id}" in captured.out
 
             assert main(["status", "--target", f"{host}:{port}", "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert validate_status(payload) == []
-        finally:
-            coordinator.stop()
 
     def test_status_subcommand_fails_cleanly_when_unreachable(self, capsys):
         from repro.__main__ import main
