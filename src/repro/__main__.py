@@ -55,6 +55,7 @@ from .orchestration import (
     parse_target,
     sweep_experiments,
 )
+from .orchestration.executors import usable_cpus
 from .sim.config import ENGINES, engine_help
 
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
@@ -1152,8 +1153,9 @@ def _resolve_execution(args):
 
     A non-``None`` address means "submit to that daemon"; otherwise the
     sweep runs here, on ``executor`` (a process pool) or, when that is
-    ``None`` too, serially in this process.  Raises :class:`_CliError`
-    on a bad spec.
+    ``None`` too, on whatever the sweep picks for its misses (see
+    :func:`~repro.orchestration.sweep.local_executor`).  Raises
+    :class:`_CliError` on a bad spec.
     """
     if args.target is None:
         return None, None
@@ -1165,7 +1167,7 @@ def _resolve_execution(args):
         host, port = target.address
         return f"{host}:{port}", None
     if target.kind == "process":
-        return None, ProcessPoolExecutor(jobs=target.jobs or os.cpu_count() or 1)
+        return None, ProcessPoolExecutor(jobs=target.jobs or usable_cpus())
     return None, None
 
 
@@ -1300,7 +1302,8 @@ def main(argv: list[str] | None = None) -> int:
                     started_at=started_at,
                     argv=argv,
                     kwargs=request.run_kwargs(),
-                    executor=executor.name if executor is not None else "serial",
+                    executor=stats.executor,
+                    jobs=stats.jobs,
                     engine=args.engine,
                     stats={
                         "planned": stats.planned,

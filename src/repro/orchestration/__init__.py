@@ -8,10 +8,11 @@ Public surface:
   through :func:`sweep_experiments`, the service protocol and run
   manifests, and the mapping-of-data-dicts result it produces.
 * :func:`~repro.orchestration.sweep.sweep_experiments` — the one way
-  to run a sweep: figures replay from a content-addressed store, and an
-  optional executor (serial or process pool) first runs the
-  points :func:`~repro.orchestration.sweep.plan_units` found missing.
-  Output is bit-identical to a serial run by construction.
+  to run a sweep: a probe pass serves the content-addressed store's
+  hits and finds the missing points, an executor (the caller's, or a
+  process pool or this process by the misses' size) runs them, and a
+  replay builds the data.  Output is bit-identical to a serial run by
+  construction.
 * :func:`~repro.orchestration.request.parse_target` — parser for the
   ``--target {local,process[:N],HOST:PORT}`` execution spec shared by
   every CLI verb.
@@ -39,9 +40,8 @@ from .request import (
 from .sweep import (
     CacheServingBackend,
     InMemoryResultStore,
-    PlanningBackend,
+    ProbingBackend,
     SimulationUnit,
-    execute_units,
     filter_run_kwargs,
     open_store,
     persistent_alone_cache,
@@ -60,7 +60,7 @@ __all__ = [
     "InMemoryResultStore",
     "PRIORITIES",
     "PersistentAloneRunCache",
-    "PlanningBackend",
+    "ProbingBackend",
     "ProcessPoolExecutor",
     "ResultCache",
     "SCHEMA_VERSION",
@@ -71,7 +71,6 @@ __all__ = [
     "SweepStats",
     "canonical_data",
     "dump_json",
-    "execute_units",
     "filter_run_kwargs",
     "format_experiment",
     "format_stats",

@@ -149,6 +149,10 @@ class SweepStats:
     #: already held it (``run`` then names the run that wrote it, when
     #: the entry recorded one).
     points: Dict[str, Dict] = field(default_factory=dict)
+    #: The executor that simulated the missing points (the caller's, or
+    #: the one a local sweep chose) and its worker processes.
+    executor: str = "serial"
+    jobs: int = 1
 
 
 @dataclass

@@ -1,39 +1,43 @@
-"""Experiment orchestration: plan, execute, replay.
+"""Experiment orchestration: probe, execute, replay.
 
 An experiment (one paper figure/section) is a pure function of a set of
 *simulation points* — independent ``(traces, config)`` pairs — plus
-deterministic arithmetic that merges their results into tables.  A sweep
-has up to three phases:
+deterministic arithmetic that merges their results into tables.
+Experiments' control flow never depends on simulated values (sweeps are
+static), so running the figures with every missing simulation answered
+by a cheap structurally-valid stub (:func:`stub_result`) enumerates
+exactly the points the real run needs, at trace-generation cost only.
 
-1. **Plan** (:func:`plan_units`).  Run each experiment once with a
-   :class:`PlanningBackend` installed: every simulation the experiment
-   would execute is recorded (keyed by content hash) and answered with a
-   cheap structurally-valid stub.  Experiments' control flow never
-   depends on simulated values (sweeps are static), so planning
-   enumerates exactly the points the real run needs, at
-   trace-generation cost only.
-2. **Execute** (:func:`execute_units`).  Hand the points that are not
-   already in the result store to an :class:`~.executors.Executor`:
-   serial or a local process pool.  Completion order does not matter
+:func:`sweep_experiments` is one pipeline:
+
+1. **Probe.**  Run the figures with a :class:`ProbingBackend` installed:
+   it serves store hits, answers each miss with a stub and records the
+   missing point once, asking the store once per distinct key.  With no
+   misses the probe's data is the result, so a warm sweep is one pass.
+2. **Execute.**  Hand the missing points to an
+   :class:`~.executors.Executor`: the caller's, or for a local sweep a
+   process pool when the misses are worth its start-up and this process
+   otherwise (:func:`local_executor`).  Completion order does not matter
    because results land in a content-addressed store.
-3. **Replay** (:func:`replay`).  Run the experiments again with a
+3. **Replay** (:func:`replay`).  Run the figures again with a
    :class:`CacheServingBackend` installed, so every simulation is served
    from the store.  Because the replay *is* the serial code path,
    merging is deterministic and the output is bit-identical to a serial
    run.
 
-:func:`sweep_experiments` runs all three when given an executor.
-Without one it only replays, and the cache-serving backend simulates
-its own misses, so a warm sweep is one pass.  The sweep service
-(:class:`~repro.distributed.service.SweepService`) calls the same
-:func:`plan_units` and :func:`replay` around its worker fleet.
+The sweep service (:class:`~repro.distributed.service.SweepService`)
+plans with :func:`plan_units` (a probe over an empty store, so every
+point is recorded) and calls the same :func:`replay` around its worker
+fleet.
 
 Each plan and each replay is one *pass*
 (:func:`~repro.workloads.memo.sweep_pass`): it generates each distinct
 trace once, however many figures, configs and alone runs use it, and
-computes each config's key fragment once.  Shared traces are read-only.
-The memo is dropped when the pass returns, so a plan holds only the
-traces its units reference and a replay holds nothing afterwards.
+computes each config's key fragment once.  A local sweep's probe and
+replay share one pass, so the replay reuses the probe's traces.  Shared
+traces are read-only.  The memo is dropped when the pass returns, so a
+plan holds only the traces its units reference and a sweep holds
+nothing afterwards.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ..telemetry.manifest import new_run_id
 from ..telemetry.trace import TraceJournal, traces_dir
 from ..workloads.memo import sweep_pass
 from .cache import PersistentAloneRunCache, ResultCache
-from .executors import Executor
+from .executors import Executor, ProcessPoolExecutor, SerialExecutor, usable_cpus
 from .keys import point_key
 from .request import SweepRequest, SweepResult, SweepStats
 
@@ -73,6 +77,11 @@ class SimulationUnit:
     traces: List[Trace]
     config: SimulationConfig
     figure: Optional[str] = None
+
+    @property
+    def instructions(self) -> int:
+        """Instructions the point simulates, over all its cores."""
+        return sum(trace.total_instructions for trace in self.traces)
 
 
 class InMemoryResultStore:
@@ -163,30 +172,6 @@ def stub_result(traces: Sequence[Trace], config: SimulationConfig) -> Simulation
     )
 
 
-class PlanningBackend:
-    """Records every simulation point instead of executing it.
-
-    ``label`` tags every recorded unit with the experiment being planned
-    (see :attr:`SimulationUnit.figure`).
-    """
-
-    #: Stub results must never be cached by :class:`AloneRunCache` etc.
-    provides_real_results = False
-
-    def __init__(self, label: Optional[str] = None) -> None:
-        self.units: Dict[str, SimulationUnit] = {}
-        self.label = label
-
-    def __call__(self, traces: Sequence[Trace], config: SimulationConfig) -> SimulationResult:
-        traces = list(traces)
-        key = point_key(traces, config)
-        if key not in self.units:
-            self.units[key] = SimulationUnit(
-                key=key, traces=traces, config=config, figure=self.label
-            )
-        return stub_result(traces, config)
-
-
 class CacheServingBackend:
     """Serves simulations from a result store, computing (and storing) misses.
 
@@ -223,6 +208,51 @@ class CacheServingBackend:
             self.points[key] = "replayed"
             self.figures[key] = self.figure
         return result
+
+
+class ProbingBackend:
+    """Serves store hits and answers each miss with a stub, recording it.
+
+    The first pass of :func:`sweep_experiments`; over an empty store, the
+    planner of :func:`plan_experiment`.  Each distinct key is looked up
+    in the store once.  ``points``/``figures`` record every key the
+    figures read, in first-read order: ``"replayed"`` for a hit,
+    ``"simulated"`` for a miss, whose unit ``missing`` holds for the
+    executor.  ``figure`` (mutable between figures) labels them.
+    """
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self.figure: Optional[str] = None
+        self.points: Dict[str, str] = {}
+        self.figures: Dict[str, Optional[str]] = {}
+        self.missing: Dict[str, SimulationUnit] = {}
+        self._hits: Dict[str, SimulationResult] = {}
+
+    @property
+    def provides_real_results(self) -> bool:
+        """Every result served before the first miss is a store hit, so
+        alone-run caches may keep it (a warm probe caches exactly what a
+        :class:`CacheServingBackend` would); stubs follow, and must not
+        be kept."""
+        return not self.missing
+
+    def __call__(self, traces: Sequence[Trace], config: SimulationConfig) -> SimulationResult:
+        traces = list(traces)
+        key = point_key(traces, config)
+        if key not in self.points:
+            self.figures[key] = self.figure
+            result = self.store.get(key)
+            if result is None:
+                self.points[key] = "simulated"
+                self.missing[key] = SimulationUnit(
+                    key=key, traces=traces, config=config, figure=self.figure
+                )
+            else:
+                self.points[key] = "replayed"
+                self._hits[key] = result
+        result = self._hits.get(key)
+        return stub_result(traces, config) if result is None else result
 
 
 # ----------------------------------------------------------------- experiments
@@ -275,10 +305,11 @@ def plan_experiment(experiment, **kwargs) -> List[SimulationUnit]:
     id (see :attr:`SimulationUnit.figure`).
     """
     module = resolve_experiment(experiment)
-    backend = PlanningBackend(label=experiment if isinstance(experiment, str) else None)
+    backend = ProbingBackend(InMemoryResultStore())
+    backend.figure = experiment if isinstance(experiment, str) else None
     with sweep_pass(), sim_runner.simulation_backend(backend):
         _run_figure(module, kwargs)
-    return list(backend.units.values())
+    return list(backend.missing.values())
 
 
 def plan_units(labels: Iterable[str], **kwargs) -> Dict[str, SimulationUnit]:
@@ -296,44 +327,56 @@ def plan_units(labels: Iterable[str], **kwargs) -> Dict[str, SimulationUnit]:
     return units
 
 
-def replay(
-    labels: Iterable[str], store, **kwargs
-) -> Tuple[Dict[str, Dict], CacheServingBackend]:
-    """Run the experiments ``labels`` with every simulation served from ``store``.
-
-    One pass (see :func:`~repro.workloads.memo.sweep_pass`).  Points
-    missing from the store are simulated on this thread and committed.
-    Returns the figure label → data dict mapping and the backend, whose
-    ``points``/``figures`` record the distinct keys read.
-    """
-    backend = CacheServingBackend(store)
+def _run_figures(labels: Iterable[str], backend, kwargs: Dict) -> Dict[str, Dict]:
+    """The figures ``labels`` with ``backend`` installed, as one pass."""
     data: Dict[str, Dict] = {}
     with sweep_pass(), sim_runner.simulation_backend(backend):
         for label in labels:
             backend.figure = label
             with telemetry.registry().time(f"sweep.figure_seconds.{label}"):
                 data[label] = _run_figure(resolve_experiment(label), kwargs)
-    return data, backend
+    return data
+
+
+def replay(
+    labels: Iterable[str], store, **kwargs
+) -> Tuple[Dict[str, Dict], CacheServingBackend]:
+    """Run the experiments ``labels`` with every simulation served from ``store``.
+
+    One pass (see :func:`~repro.workloads.memo.sweep_pass`), or part of
+    the caller's.  Points missing from the store are simulated on this
+    thread and committed.  Returns the figure label → data dict mapping
+    and the backend, whose ``points``/``figures`` record the distinct
+    keys read.
+    """
+    backend = CacheServingBackend(store)
+    return _run_figures(labels, backend, kwargs), backend
 
 
 # ----------------------------------------------------------------- execution
 
 
-def execute_units(units: Iterable[SimulationUnit], store, executor: Executor) -> int:
-    """Simulate every unit missing from ``store`` on ``executor``; returns
-    how many ran.
+#: Instructions the missing points of a local sweep must hold before it
+#: runs them on a process pool rather than in this process.  A spawned
+#: worker takes ~0.3 s to start and import ``repro``, and the kernel
+#: simulates ~3M instructions/s, so start-up costs ~0.9M instructions of
+#: simulation.  A pool of N workers pays off once the time it saves,
+#: I x (N - 1) / N, exceeds that: I > 0.9M x N / (N - 1), which is 1.8M
+#: for two workers and falls towards 0.9M with more.
+POOL_BREAK_EVEN_INSTRUCTIONS = 2_000_000
 
-    Every executor commits into the same content-addressed store, so
-    replay output never depends on which executor ran the points.
-    Pending-ness is decided with ``get`` rather than ``contains`` so an
-    unreadable/corrupt cache entry counts as missing and is recomputed
-    here, not silently during the serial replay.  The deserialised
-    results stay memoized, so the replay pays nothing extra.
+
+def local_executor(units: Sequence[SimulationUnit]) -> Executor:
+    """The executor a sweep given none runs its missing ``units`` on.
+
+    A pool of one worker per usable CPU, at most one per unit, when the
+    units' traces hold at least :data:`POOL_BREAK_EVEN_INSTRUCTIONS`
+    instructions; this process otherwise.
     """
-    pending = [unit for unit in units if store.get(unit.key) is None]
-    if not pending:
-        return 0
-    return executor.execute(pending, store)
+    jobs = min(usable_cpus(), len(units))
+    if jobs > 1 and sum(unit.instructions for unit in units) >= POOL_BREAK_EVEN_INSTRUCTIONS:
+        return ProcessPoolExecutor(jobs)
+    return SerialExecutor()
 
 
 # ----------------------------------------------------------------- entry point
@@ -356,11 +399,13 @@ def sweep_experiments(
     or fig9 reusing fig6's simulations) are simulated at most once across
     the batch.
 
-    With an ``executor`` — serial or local process pool — the sweep
-    plans, lets the executor run the missing points, then replays;
-    without one the replay simulates its own misses.  Either way the
-    data dicts are bit-identical to calling each ``module.run`` serially,
-    and the stats count the distinct points the replay read.
+    A probe pass serves the store's hits and finds the missing points;
+    with none missing its data is the result.  Otherwise ``executor``
+    simulates them — without one, :func:`local_executor` picks a process
+    pool or this process — and a replay builds the data from the store.
+    Either way the data dicts are bit-identical to calling each
+    ``module.run`` serially, and the stats count the distinct points the
+    figures read and name the executor that ran the missing ones.
     """
     if not isinstance(request, SweepRequest):
         raise TypeError(f"sweep_experiments takes a SweepRequest, got {type(request).__name__}")
@@ -393,29 +438,35 @@ def sweep_experiments(
         store.run_context = run_id
     telemetry.emit("run.start", run=run_id, figures=labels)
     try:
-        with sim_runner.engine_override(request.engine):
-            # Keys the executor simulates this run: the replay then finds
-            # them in the store, but the stats must count them as executed.
-            ran: Iterable[str] = ()
-            if executor is not None:
-                telemetry.emit("phase.start", phase="plan", run=run_id)
-                units = plan_units(labels, **kwargs)
-                telemetry.counter("sweep.points_planned", len(units))
-                telemetry.emit("phase.end", phase="plan", run=run_id, points=len(units))
-                ran = {key for key in units if not store.contains(key)}
+        with sim_runner.engine_override(request.engine), sweep_pass():
+            telemetry.emit("phase.start", phase="probe", run=run_id)
+            probe = reads = ProbingBackend(store)
+            data = _run_figures(labels, probe, kwargs)
+            missing = list(probe.missing.values())
+            telemetry.emit(
+                "phase.end", phase="probe", run=run_id,
+                points=len(probe.points), missing=len(missing),
+            )
+            if missing:
+                executor = executor or local_executor(missing)
                 telemetry.emit("phase.start", phase="execute", run=run_id)
-                executed = execute_units(units.values(), store, executor=executor)
+                executed = executor.execute(missing, store)
                 telemetry.emit(
                     "phase.end", phase="execute", run=run_id,
-                    executed=executed, reused=len(units) - executed,
+                    executed=executed, reused=len(probe.points) - executed,
                 )
-            telemetry.emit("phase.start", phase="replay", run=run_id)
-            data, backend = replay(labels, store, **kwargs)
-            telemetry.emit("phase.end", phase="replay", run=run_id)
+                telemetry.emit("phase.start", phase="replay", run=run_id)
+                data, reads = replay(labels, store, **kwargs)
+                telemetry.emit("phase.end", phase="replay", run=run_id)
+        if executor is not None:
+            stats.executor, stats.jobs = executor.name, executor.jobs
+        # The stats count the keys the real data was built from: the
+        # replay's when one ran (the executor's points it finds in the
+        # store were simulated this run), the warm probe's otherwise.
         runs = getattr(store, "runs", {})
-        for key, state in backend.points.items():
-            figure = backend.figures[key]
-            if state == "replayed" and key not in ran:
+        for key, state in reads.points.items():
+            figure = reads.figures[key]
+            if state == "replayed" and key not in probe.missing:
                 origin = runs.get(key)
                 telemetry.emit("point.replay", point=key, figure=figure, run=origin)
             else:

@@ -37,8 +37,8 @@ class _ThreadScope(threading.local):
     the sweep service plans and replays several tenants' jobs on their own
     threads while in-process workers simulate leased points concurrently —
     a process-global backend would route a worker's real simulation
-    through another tenant's :class:`PlanningBackend` and commit a stub
-    result to the shared store.  Each thread starts with no backend
+    through another tenant's planning backend and commit a stub result
+    to the shared store.  Each thread starts with no backend
     installed (direct execution) and no engine override; the class
     attributes below are the per-thread defaults ``threading.local``
     hands to every new thread.
@@ -60,8 +60,8 @@ class _ThreadScope(threading.local):
     #: Periodic-checkpoint policy (``None`` = run straight through).
     #: Installed per thread like the backend, and only honoured on the
     #: direct-execution path: a planning/cache-serving backend never
-    #: simulates, and process-pool workers run in their own interpreters
-    #: where callers install the policy explicitly.
+    #: simulates, and process-pool workers run in their own interpreters,
+    #: where the pool installs the policy it was handed.
     checkpoint: Optional["CheckpointPolicy"] = None
 
 
@@ -192,6 +192,11 @@ def set_checkpoint_policy(policy: Optional[CheckpointPolicy]) -> Optional[Checkp
     previous = _SCOPE.checkpoint
     _SCOPE.checkpoint = policy
     return previous
+
+
+def checkpoint_policy() -> Optional[CheckpointPolicy]:
+    """This thread's periodic-checkpoint policy (``None`` = none installed)."""
+    return _SCOPE.checkpoint
 
 
 @contextmanager

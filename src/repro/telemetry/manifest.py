@@ -95,6 +95,7 @@ def write_manifest(
     argv: Optional[List[str]] = None,
     kwargs: Optional[Dict] = None,
     executor: Optional[str] = None,
+    jobs: Optional[int] = None,
     engine: Optional[str] = None,
     stats: Optional[Dict] = None,
     cache: Optional[Dict] = None,
@@ -130,6 +131,7 @@ def write_manifest(
         "kwargs": {str(key): value for key, value in (kwargs or {}).items()},
         "argv": list(argv) if argv is not None else None,
         "executor": executor,
+        "jobs": jobs,
         "engine": engine,
         "stats": dict(stats) if stats else {},
         "cache": dict(cache) if cache else {},

@@ -49,7 +49,6 @@ from repro.orchestration import (
     SimulationUnit,
     SweepRequest,
     canonical_data,
-    execute_units,
     point_key,
     sweep_experiments,
 )
@@ -151,12 +150,6 @@ class TestExecutors:
         assert ProcessPoolExecutor(jobs=2).execute(units, pool_store) == 3
         for unit in units:
             assert pool_store.get(unit.key) == serial_store.get(unit.key)
-
-    def test_execute_units_skips_cached_points(self):
-        units = [make_unit(seed=s) for s in range(2)]
-        store = InMemoryResultStore()
-        assert execute_units(units, store, executor=SerialExecutor()) == 2
-        assert execute_units(units, store, executor=SerialExecutor()) == 0
 
 
 # ----------------------------------------------------------------- point server

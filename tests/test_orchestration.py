@@ -6,10 +6,17 @@ import collections
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import telemetry
 from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.address import AddressMapping
 from repro.experiments import fig06_dualcore_performance as fig6
@@ -20,13 +27,17 @@ from repro.orchestration import (
     ResultCache,
     SerialExecutor,
     SweepRequest,
+    canonical_data,
     filter_run_kwargs,
     plan_experiment,
     point_key,
+    replay,
     result_from_dict,
     result_to_dict,
     sweep_experiments,
 )
+from repro.orchestration import sweep as sweep_module
+from repro.orchestration.cache import CheckpointStore
 from repro.sim import runner as sim_runner
 from repro.sim.config import baseline_config, drstrange_config
 from repro.sim.runner import AloneRunCache
@@ -267,10 +278,14 @@ class TestPlanning:
         # fig10/fig11/fig13 vary DR-STRaNGe knobs that the alone runs
         # ignore: a plan with extra alone points would make a
         # distributed sweep simulate work the replay never reads.
+        # The probe of every local sweep relies on the same property.
         request = SweepRequest(experiments=(figure,), instructions=2_000)
         planned = {unit.key for unit in plan_experiment(figure, **request.run_kwargs())}
-        serial = sweep_experiments(request, store=InMemoryResultStore())
-        assert planned == set(serial.stats.points)
+        _, real = replay((figure,), InMemoryResultStore(), **request.run_kwargs())
+        assert planned == set(real.points)
+        assert set(real.points.values()) == {"simulated"}
+        swept = sweep_experiments(request, store=InMemoryResultStore())
+        assert swept.stats.points.keys() == real.points.keys()
 
     def test_filter_run_kwargs(self):
         kwargs = {"instructions": 10, "full": True, "bogus": 1}
@@ -312,6 +327,89 @@ class TestSerialParallelEquivalence:
         assert store.hits > 0
 
 
+def export(result) -> str:
+    return json.dumps(canonical_data(dict(result.data)), sort_keys=True)
+
+
+def engine_profile(counters) -> dict:
+    return {name: value for name, value in counters.items() if name.startswith("engine.profile.")}
+
+
+@pytest.fixture
+def pool_above_break_even(monkeypatch):
+    """A local sweep with any miss takes a two-worker pool, whatever this
+    host's CPU count."""
+    monkeypatch.setattr(sweep_module, "POOL_BREAK_EVEN_INSTRUCTIONS", 1)
+    monkeypatch.setattr(sweep_module, "usable_cpus", lambda: 2)
+
+
+class TestProcessPool:
+    FIG5 = SweepRequest("fig5", instructions=2_000)
+
+    def test_pool_sweep_checkpoints_and_resumes(self, tmp_path):
+        straight = export(sweep_experiments(self.FIG5, store=InMemoryResultStore()))
+        checkpoints = CheckpointStore(tmp_path / "checkpoints")
+        counters = []
+        for _ in range(2):
+            with telemetry.isolated() as registry, sim_runner.checkpointing(checkpoints, 500):
+                pooled = sweep_experiments(
+                    self.FIG5, store=InMemoryResultStore(), executor=ProcessPoolExecutor(jobs=2)
+                )
+            assert export(pooled) == straight
+            counters.append(registry.snapshot()["counters"])
+        assert checkpoints.entries()
+        assert counters[0].get("checkpoint_store.puts", 0) > 0
+        assert counters[0].get("checkpoint_store.hits", 0) == 0
+        # The re-run resumes from the first run's checkpoints.
+        assert counters[1].get("checkpoint_store.hits", 0) > 0
+
+    def test_pool_records_the_serial_engine_profile(self):
+        profiles = []
+        for executor in (SerialExecutor(), ProcessPoolExecutor(jobs=2)):
+            with telemetry.isolated() as registry, telemetry.profiled():
+                sweep_experiments(self.FIG5, store=InMemoryResultStore(), executor=executor)
+            profiles.append(engine_profile(registry.snapshot()["counters"]))
+        assert profiles[0]
+        assert profiles[1] == profiles[0]
+
+    def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
+        # Spawned workers re-import a script's ``__main__``: without the
+        # guard each one runs the sweep again and dies starting a pool of
+        # its own while it bootstraps.  The script's sweep must raise.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.orchestration import SweepRequest, sweep, sweep_experiments\n"
+            "sweep.POOL_BREAK_EVEN_INSTRUCTIONS = 1\n"
+            "sweep.usable_cpus = lambda: 2\n"
+            "sweep_experiments(SweepRequest('fig5', instructions=2_000))\n"
+        )
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src_root, os.environ.get("PYTHONPATH")])
+        ))
+        run = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode != 0
+        assert "BrokenProcessPool" in run.stderr
+
+    def test_local_pool_matches_serial_and_leaves_nothing_running(self, pool_above_break_even):
+        serial = sweep_experiments(
+            self.FIG5, store=InMemoryResultStore(), executor=SerialExecutor()
+        )
+        assert (serial.stats.executor, serial.stats.jobs) == ("serial", 1)
+        threads = threading.active_count()
+        pooled = sweep_experiments(self.FIG5, store=InMemoryResultStore())
+        assert (pooled.stats.executor, pooled.stats.jobs) == ("process", 2)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        assert export(pooled) == export(serial)
+        assert pooled.stats.points == {
+            key: dict(point, run=pooled.stats.run_id) for key, point in serial.stats.points.items()
+        }
+
+
 class TestSweepStats:
     REQUEST = SweepRequest(("fig6", "fig9", "fig13"), instructions=5_000)
 
@@ -345,6 +443,44 @@ class TestSweepStats:
                 replays += events.get_nowait()["kind"] == "point.replay"
         assert self.counts(warm) == (cold.stats.planned, 0, cold.stats.planned)
         assert warm.stats.reused == replays
+
+    def test_warm_rerun_is_one_pass_and_starts_no_pool(self, monkeypatch, pool_above_break_even):
+        store = InMemoryResultStore()
+        cold = sweep_experiments(self.REQUEST, store=store)
+        figure_runs = collections.Counter()
+        run_figure = sweep_module._run_figure
+
+        def counting_run_figure(module, kwargs):
+            figure_runs[module.__name__] += 1
+            return run_figure(module, kwargs)
+
+        def no_pool(executor, units, store):
+            raise AssertionError(f"a warm sweep started a pool for {len(units)} points")
+
+        monkeypatch.setattr(sweep_module, "_run_figure", counting_run_figure)
+        monkeypatch.setattr(ProcessPoolExecutor, "execute", no_pool)
+        warm = sweep_experiments(self.REQUEST, store=store)
+        assert warm.stats.executed == 0
+        assert list(figure_runs.values()) == [1] * len(self.REQUEST.experiments)
+        assert export(warm) == export(cold)
+
+    def test_probe_asks_the_store_once_per_distinct_key(self):
+        class CountingStore(InMemoryResultStore):
+            def __init__(self):
+                super().__init__()
+                self.asked = collections.Counter()
+
+            def get(self, key):
+                self.asked[key] += 1
+                return super().get(key)
+
+        store = CountingStore()
+        cold = sweep_experiments(self.REQUEST, store=store)
+        # The probe misses each point once; the replay then finds them all.
+        assert store.misses == cold.stats.planned
+        store.asked.clear()
+        warm = sweep_experiments(self.REQUEST, store=store)
+        assert store.asked == dict.fromkeys(warm.stats.points, 1)
 
     def test_warm_replay_parses_each_entry_once(self, tmp_path, monkeypatch):
         request = SweepRequest(("fig5",), instructions=1_500)
@@ -423,6 +559,20 @@ class TestCLI:
         assert "simulation points" in captured.err
         [manifest] = list_manifests(tmp_path / "cache")
         assert manifest["executor"] == "serial"
+
+    def test_target_local_manifest_records_the_pool_it_chose(
+        self, tmp_path, capsys, pool_above_break_even
+    ):
+        from repro.__main__ import main
+
+        code = main(
+            ["fig5", "--instructions", "2000", "--target", "local",
+             "--cache-dir", str(tmp_path / "cache")]
+        )
+        assert code == 0
+        assert "Figure 5" in capsys.readouterr().out
+        [manifest] = list_manifests(tmp_path / "cache")
+        assert (manifest["executor"], manifest["jobs"]) == ("process", 2)
 
     def test_cache_subcommand_stats_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main
