@@ -500,16 +500,6 @@ def _watch_main(argv: list[str]) -> int:
         action="store_true",
         help="print raw event dicts as JSON lines instead of the rendered view",
     )
-    parser.add_argument(
-        "--poll",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help=(
-            "fallback poll interval against a pre-watch peer "
-            "(default: 2.0; the event stream itself never polls)"
-        ),
-    )
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
@@ -519,7 +509,7 @@ def _watch_main(argv: list[str]) -> int:
 
     from .distributed import ServiceError, parse_address
     from .distributed.client import WatchClient
-    from .telemetry.status import fetch_status, format_event, format_status
+    from .telemetry.status import format_event, format_status
 
     try:
         address = parse_address(target)
@@ -532,27 +522,6 @@ def _watch_main(argv: list[str]) -> int:
         print(f"could not watch {target}: {exc}", file=sys.stderr)
         return 1
     try:
-        if not watcher.supports_watch:
-            # Version tolerance: an older daemon answers status queries
-            # but cannot push events — degrade to polling, loudly.
-            watcher.close()
-            print(
-                f"peer at {target} predates the watch protocol; "
-                f"polling status every {args.poll:.1f}s instead",
-                file=sys.stderr,
-            )
-            while True:
-                try:
-                    payload = fetch_status(address)
-                except (OSError, ValueError) as exc:
-                    print(f"could not fetch status from {target}: {exc}", file=sys.stderr)
-                    return 1
-                if args.json:
-                    print(json_module.dumps(payload, sort_keys=True), flush=True)
-                else:
-                    print(format_status(payload))
-                    print()
-                time.sleep(max(0.1, args.poll))
         if not args.json:
             print(
                 f"watching {target} (events from seq {watcher.seq})",

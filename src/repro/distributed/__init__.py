@@ -6,9 +6,12 @@ plans submitted sweeps and serves their simulation points over a
 JSON-lines TCP protocol; :func:`~repro.distributed.worker.run_worker`
 processes — on the same machine or any machine that can reach the
 service — lease points, simulate them through the existing engine, and
-stream results back.  The service commits results to the
-content-addressed result store and replays each job from it, so a
-distributed sweep is bit-identical to a serial one.
+stream results back.  The service probes each job against the
+content-addressed result store as a local sweep does, commits what the
+workers simulate for it, and builds the job's data from the store on
+the serial code path, so a distributed sweep is bit-identical to a
+serial one.  Every peer's hello must carry this build's protocol
+version.
 
 Everything is standard library only (``socket`` + ``threading`` +
 ``json``): no broker, no serialization framework, no install step on
@@ -21,7 +24,9 @@ Public surface:
   the same protocol, BLISS-fair scheduling across jobs, one shared
   worker fleet, per-job run manifests.
 * :class:`~repro.distributed.client.SweepClient` — submit → job id →
-  poll → results, the programmatic face of ``repro submit``.
+  poll → results, the programmatic face of ``repro submit``;
+  :class:`~repro.distributed.client.WatchClient` streams the service's
+  events for ``repro watch``.
 * :class:`~repro.distributed.fairness.TenantScheduler` — the
   consecutive-service/blacklist/clearing policy object.
 * :func:`~repro.distributed.worker.run_worker` — the worker loop behind

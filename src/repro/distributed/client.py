@@ -4,11 +4,11 @@
 ``repro jobs``: it connects to a running
 :class:`~repro.distributed.service.SweepService`, introduces itself with
 ``role: "client"`` (so the service never mistakes it for a worker), and
-drives the ``submit``/``poll``/``cancel``/``jobs`` message family the
-service advertises via the ``"jobs"`` welcome feature.  A peer that
-does not advertise the feature (an older build's one-shot coordinator
-speaks the same protocol version) is refused up front instead of
-failing obscurely on the first submit.
+drives the ``submit``/``poll``/``cancel``/``jobs`` message family.
+:class:`WatchClient` is the face of ``repro watch``.  A service that
+speaks another protocol version refuses either hello, and the client
+raises :class:`ServiceError` at once instead of failing obscurely on its
+first request.
 
 One connection serves any number of requests; messages are strictly
 request/reply, so the client is trivially usable from a ``with`` block::
@@ -33,7 +33,6 @@ from .protocol import (
     hello_message,
     open_connection,
     parse_address,
-    peer_features,
     read_message,
 )
 
@@ -53,6 +52,15 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 
 class ServiceError(RuntimeError):
     """The service rejected a request or the conversation broke down."""
+
+
+def _handshake(connection: socket.socket, stream, name: str, role: str) -> None:
+    """Say hello as ``role``; raise :class:`ServiceError` unless welcomed."""
+    connection.sendall(encode_message(hello_message(name, pid=os.getpid(), role=role)))
+    welcome = read_message(stream)
+    if welcome is None or welcome.get("type") != "welcome":
+        error = (welcome or {}).get("error", "service refused the hello")
+        raise ServiceError(f"handshake failed: {error}")
 
 
 @dataclass
@@ -108,16 +116,10 @@ class JobStatus:
 class WatchClient:
     """Streaming observer of a service's event feed.
 
-    Connects with ``role: "observer"`` and, when the peer's welcome
-    advertises the ``"watch"`` feature, subscribes to the event stream:
-    ``status`` then holds the seeding snapshot the ``watching`` ack
-    carried, and :meth:`events` yields one event dict per push until the
-    connection closes.
-
-    Version tolerance is explicit: against a pre-``watch`` peer the
-    constructor still succeeds but leaves ``supports_watch`` false —
-    callers (``repro watch``) degrade to one-shot ``status`` polling
-    with a notice instead of erroring out.
+    Connects with ``role: "observer"`` and subscribes to the event
+    stream: ``status`` then holds the seeding snapshot the ``watching``
+    ack carried, and :meth:`events` yields one event dict per push until
+    the connection closes.
     """
 
     def __init__(
@@ -131,42 +133,31 @@ class WatchClient:
         self.name = f"watch-{socket.gethostname()}-{os.getpid()}"
         self.status: Optional[Dict] = None
         self.seq = 0
-        self.supports_watch = False
         self._connection = open_connection(address, timeout=timeout)
         self._stream = self._connection.makefile("rb")
         try:
-            self._connection.sendall(
-                encode_message(hello_message(self.name, pid=os.getpid(), role="observer"))
-            )
-            welcome = read_message(self._stream)
-            if welcome is None or welcome.get("type") != "welcome":
-                error = (welcome or {}).get("error", "peer refused the hello")
-                raise ServiceError(f"handshake failed: {error}")
-            self.supports_watch = "watch" in peer_features(welcome)
-            if self.supports_watch:
-                subscribe: Dict = {"type": "watch"}
-                # None = live-only; an explicit value (0 included)
-                # replays buffered history — mirror the wire semantics.
-                if from_seq is not None:
-                    subscribe["from_seq"] = int(from_seq)
-                self._connection.sendall(encode_message(subscribe))
-                ack = read_message(self._stream)
-                if ack is None or ack.get("type") != "watching":
-                    raise ServiceError(f"watch subscription refused: {ack!r}")
-                self.seq = int(ack.get("seq") or 0)
-                status = ack.get("status")
-                self.status = status if isinstance(status, dict) else None
-                # The stream blocks until the fleet does something; only
-                # the connect/handshake above is deadline-bound.
-                self._connection.settimeout(None)
+            _handshake(self._connection, self._stream, self.name, "observer")
+            subscribe: Dict = {"type": "watch"}
+            # None = live-only; an explicit value (0 included) replays
+            # buffered history — mirror the wire semantics.
+            if from_seq is not None:
+                subscribe["from_seq"] = int(from_seq)
+            self._connection.sendall(encode_message(subscribe))
+            ack = read_message(self._stream)
+            if ack is None or ack.get("type") != "watching":
+                raise ServiceError(f"watch subscription refused: {ack!r}")
+            self.seq = int(ack.get("seq") or 0)
+            status = ack.get("status")
+            self.status = status if isinstance(status, dict) else None
+            # The stream blocks until the fleet does something; only the
+            # connect/handshake above is deadline-bound.
+            self._connection.settimeout(None)
         except BaseException:
             self.close()
             raise
 
     def events(self):
         """Yield pushed event dicts; returns when the peer hangs up."""
-        if not self.supports_watch:
-            return
         while True:
             try:
                 message = read_message(self._stream)
@@ -210,18 +201,7 @@ class SweepClient:
         self._connection = open_connection(address, timeout=timeout)
         self._stream = self._connection.makefile("rb")
         try:
-            self._connection.sendall(
-                encode_message(hello_message(self.tenant, pid=os.getpid(), role="client"))
-            )
-            welcome = read_message(self._stream)
-            if welcome is None or welcome.get("type") != "welcome":
-                error = (welcome or {}).get("error", "service refused the hello")
-                raise ServiceError(f"handshake failed: {error}")
-            if "jobs" not in peer_features(welcome):
-                raise ServiceError(
-                    "peer does not accept job submissions (a one-shot coordinator, "
-                    "or a service older than the 'jobs' feature)"
-                )
+            _handshake(self._connection, self._stream, self.tenant, "client")
         except BaseException:
             self.close()
             raise

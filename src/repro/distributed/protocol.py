@@ -12,19 +12,16 @@ worker → service
     ``result``     deliver a finished point (the service replies ``ack``)
     ``error``      report a point that raised (the service replies ``ack``)
     ``heartbeat``  renew the lease on the point being simulated (no reply)
-    ``metrics``    periodic telemetry snapshot (no reply; only sent when
-                   the welcome advertised the ``"metrics"`` feature)
+    ``metrics``    periodic telemetry snapshot (no reply)
     ``checkpoint`` mid-simulation snapshot of the leased point (no
-                   reply; only sent when the welcome advertised the
-                   ``"checkpoint"`` feature).  The service keeps the
-                   latest one per point and attaches it to any re-lease,
-                   so a killed worker loses at most one checkpoint
-                   interval of progress.
+                   reply).  The service keeps the latest one per point
+                   and attaches it to any re-lease, so a killed worker
+                   loses at most one checkpoint interval of progress.
     ``goodbye``    clean disconnect (no reply)
 
 service → worker
-    ``welcome``    accepts the hello (``features`` lists optional message
-                   kinds this service understands)
+    ``welcome``    accepts the hello (``protocol`` and the number of live
+                   ``points``)
     ``work``       one leased point: ``key`` plus the serialised unit,
                    plus an optional ``checkpoint`` (cycle + base64
                    snapshot) to resume from instead of restarting
@@ -40,8 +37,7 @@ observer → service
     ``status``     request one live status payload (the service
                    replies with ``type: "status"``; used by
                    ``repro status`` and the telemetry smoke tests)
-    ``watch``      subscribe to the event stream (only when the welcome
-                   advertised ``"watch"``).  The service replies
+    ``watch``      subscribe to the event stream.  The service replies
                    ``type: "watching"`` (carrying its current event
                    ``seq`` and a status snapshot to seed the view) and
                    then pushes one ``type: "event"`` frame per state
@@ -53,7 +49,7 @@ observer → service
     ``unwatch``    end the subscription (reply ``type: "unwatched"``);
                    the connection stays usable for other requests.
 
-client → service (only when the welcome advertised ``"jobs"``)
+client → service
     ``submit``     submit one :class:`~repro.orchestration.request.SweepRequest`
                    (the service replies ``type: "job"`` with the job id)
     ``poll``       ask for one job's state/progress (reply ``type: "job"``;
@@ -61,12 +57,10 @@ client → service (only when the welcome advertised ``"jobs"``)
     ``cancel``     cancel a job (reply ``type: "job"``)
     ``jobs``       list every job the service knows (reply ``type: "jobs"``)
 
-Feature negotiation keeps the protocol version-tolerant without a
-version bump: optional message kinds (``metrics``, ``status``, the
-``jobs`` submit/poll family) are advertised in the welcome's
-``features`` list, old workers simply never send them, and new workers
-talking to an old server (no ``features`` field) fall back to the
-original message set.
+Workers, clients and observers open with a ``hello`` carrying
+:data:`PROTOCOL_VERSION`, and the service refuses any other version, so
+a peer past the hello speaks the whole message set above.  A one-shot
+``status`` request needs no hello.
 
 Payload serialisation round-trips the exact objects the orchestrator
 works with: a :class:`~repro.orchestration.sweep.SimulationUnit` is its
@@ -93,18 +87,9 @@ from ..sim.config import SimulationConfig
 from ..sim.results import SimulationResult
 
 #: Bumped on any incompatible message or payload change; the service
-#: rejects workers speaking a different version during the hello.
-PROTOCOL_VERSION = 2
-
-#: Optional message kinds this build's service understands, advertised
-#: in every welcome (see the module docstring on feature negotiation).
-#: ``watch`` covers the streaming subscribe/event/unwatch family; peers
-#: that never saw it advertised fall back to one-shot ``status``
-#: polling.  ``jobs`` covers the submit/poll/cancel/jobs family: a
-#: :class:`~repro.distributed.client.SweepClient` refuses peers whose
-#: welcome lacks it (an older build's one-shot coordinator, for
-#: instance, speaks the same protocol version).
-FEATURES = ("metrics", "status", "watch", "checkpoint", "jobs")
+#: refuses a hello of any other version, from workers, clients and
+#: observers alike.
+PROTOCOL_VERSION = 3
 
 #: Hard cap on one serialised message.  Sized for the largest realistic
 #: ``work`` payload (every entry of every trace of a full-roster
@@ -258,8 +243,7 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def hello_message(worker: str, pid: Optional[int] = None, role: Optional[str] = None) -> Dict:
     """The introduction frame.  ``role`` distinguishes submit/poll
-    clients and observers from workers (old peers omit it and default to
-    workers, which is what they are)."""
+    clients and observers from workers (workers omit it)."""
     message = {"type": "hello", "worker": worker, "pid": pid, "protocol": PROTOCOL_VERSION}
     if role is not None:
         message["role"] = role
@@ -275,8 +259,7 @@ def checkpoint_message(worker: str, key: str, cycle: int, data: bytes) -> Dict:
     """A mid-simulation snapshot of the leased point (fire-and-forget).
 
     The snapshot bytes (:func:`repro.sim.checkpoint.snapshot`) ride the
-    JSON-lines framing base64-encoded; only sent when the welcome
-    advertised the ``"checkpoint"`` feature.
+    JSON-lines framing base64-encoded.
     """
     import base64
 
@@ -304,16 +287,3 @@ def checkpoint_from_wire(payload: Optional[Dict]) -> Optional[tuple[int, bytes]]
     except (KeyError, TypeError, ValueError, binascii.Error):
         return None
     return cycle, data
-
-
-def peer_features(welcome: Dict) -> frozenset:
-    """The optional message kinds a welcome advertises.
-
-    Pre-telemetry servers send no ``features`` field at all; the empty
-    set they map to is exactly the original message set, so new workers
-    degrade cleanly.
-    """
-    features = welcome.get("features")
-    if not isinstance(features, (list, tuple)):
-        return frozenset()
-    return frozenset(feature for feature in features if isinstance(feature, str))

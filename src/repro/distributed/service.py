@@ -3,10 +3,9 @@
 :class:`SweepService` is a long-lived daemon.  Clients submit
 :class:`~repro.orchestration.request.SweepRequest`s over the JSON-lines
 TCP protocol (:mod:`repro.distributed.protocol`; ``submit``/``poll``/
-``cancel``/``jobs``, negotiated via the welcome's ``features`` like the
-telemetry messages), the service decomposes each into simulation points
-with the local sweep's planner, and one shared worker fleet drains the
-points of *every* live job.  Each accepted connection gets its own
+``cancel``/``jobs``), the service probes each against its store with the
+local sweep's first pass, and one shared worker fleet drains the points
+*every* live job misses.  Each accepted connection gets its own
 thread; shared queue state sits behind one lock.  Completed results are
 committed straight into the result store (the content-addressed
 :class:`~repro.orchestration.cache.ResultCache` or an in-memory
@@ -39,10 +38,11 @@ Fault tolerance:
 
 Jobs on top of the points:
 
-* **Bit-identity per job.**  Each job is planned and reassembled by the
-  local sweep's own halves,
-  :func:`~repro.orchestration.sweep.plan_units` and
-  :func:`~repro.orchestration.sweep.replay` — the replay *is* the
+* **Bit-identity per job.**  Each job runs the local sweep's own passes,
+  :func:`~repro.orchestration.sweep.probe` and
+  :func:`~repro.orchestration.sweep.replay`.  A job whose points are all
+  in the store is answered by its probe, in one pass; any other is
+  replayed once its last point is committed.  Either pass *is* the
   serial code path, so a job's data dicts are byte-identical to a serial
   run of the same request.
 * **Cross-tenant memoisation.**  Points are registered by content key:
@@ -69,14 +69,13 @@ from .. import telemetry
 from ..orchestration.cache import ResultCache
 from ..orchestration.report import canonical_data
 from ..orchestration.request import SweepRequest
-from ..orchestration.sweep import SimulationUnit, plan_units, replay, resolve_experiment
+from ..orchestration.sweep import SimulationUnit, probe, replay, resolve_experiment
 from ..sim.runner import engine_override
 from ..telemetry import logs
 from ..telemetry.manifest import write_manifest
 from ..telemetry.trace import TraceJournal, read_journal, traces_dir
 from .fairness import DEFAULT_CLEARING_INTERVAL, DEFAULT_SERVICE_QUANTUM, TenantScheduler
 from .protocol import (
-    FEATURES,
     PROTOCOL_VERSION,
     encode_message,
     prepare_connection,
@@ -100,7 +99,8 @@ DEFAULT_RETRY_SECONDS = 0.5
 DEFAULT_WATCH_QUEUE = 4096
 
 #: Job lifecycle.  ``planning`` → ``running`` → ``finalizing`` → ``done``
-#: on the happy path; ``failed``/``cancelled`` are terminal from any
+#: on the happy path, or ``planning`` → ``done`` when the store already
+#: holds every point; ``failed``/``cancelled`` are terminal from any
 #: earlier state.
 PLANNING = "planning"
 RUNNING = "running"
@@ -703,12 +703,7 @@ class SweepService:
         self.events.emit(
             "worker.connect", worker=name, pid=message.get("pid"), role=role
         )
-        return {
-            "type": "welcome",
-            "protocol": PROTOCOL_VERSION,
-            "points": points,
-            "features": list(FEATURES),
-        }
+        return {"type": "welcome", "protocol": PROTOCOL_VERSION, "points": points}
 
     def _touch_worker(self, connection_id: int) -> None:
         """Record liveness for the worker behind ``connection_id``."""
@@ -924,13 +919,16 @@ class SweepService:
         Whatever blocked the settlement re-enters here when it resolves:
         a dying lease through its revocation, a failing commit through
         :meth:`_commit`'s failure path — so a point can never be left
-        permanently unsettled.
+        permanently unsettled.  A point no live job needs any more (its
+        jobs were cancelled or failed while it was leased) is dropped.
         """
         if point.done or point.failed is not None:
             return
         if point.leases or point.committing:
             return
-        if point.attempts >= self.max_attempts:
+        if not point.jobs:
+            self._drop_point_locked(point)
+        elif point.attempts >= self.max_attempts:
             point.failed = reason
             point.queued = False
             self._points_failed += 1
@@ -1084,43 +1082,41 @@ class SweepService:
         return job.payload()
 
     def _plan_job(self, job: _Job) -> None:
-        """Decompose one job into points and register them (own thread).
+        """Probe one job against the store and register the points it
+        misses (own thread).
 
-        Planning is trace-generation cost only, but for a ``--full``
-        roster that is still seconds — hence off the connection thread,
-        so submits return immediately and pollers see ``planning``.
+        The probe is a local sweep's first pass
+        (:func:`~repro.orchestration.sweep.probe`): trace generation plus
+        one store lookup per distinct point, but for a ``--full`` roster
+        still seconds — hence off the connection thread, so submits
+        return immediately and pollers see ``planning``.  With nothing
+        missing its data is the job's result.
         """
         request = job.request
         try:
             with engine_override(request.engine):
-                units = plan_units(request.experiments, **request.run_kwargs())
+                data, probed = probe(request.experiments, self._store, **request.run_kwargs())
+            # Canonicalise now so a poll's wire round-trip cannot change
+            # the bytes a client exports (see report.canonical_data).
+            results = None if probed.missing else canonical_data(data)
         except Exception as exc:  # a broken experiment module fails its job only
             with self._lock:
                 self._fail_job_locked(job, f"planning failed: {type(exc).__name__}: {exc}")
             return
-        # Probe the store *outside* the lock (disk reads); re-checked
-        # under the lock below, where it matters.
-        missing: Dict[str, SimulationUnit] = {}
-        reused = 0
-        for key, unit in units.items():
-            if self._store.get(key) is not None:
-                reused += 1
-            else:
-                missing[key] = unit
         finalize = False
         with self._lock:
             if job.state != PLANNING:  # cancelled while planning
                 return
-            job.total = len(units)
-            job.reused = reused
-            for key, unit in missing.items():
+            job.total = len(probed.points)
+            job.reused = job.total - len(probed.missing)
+            for key, unit in probed.missing.items():
                 point = self._points.get(key)
                 if point is None:
                     # Re-check under the lock: another job's commit may
                     # have landed (and dropped its point) since the probe
-                    # above — without this a shared point would be
-                    # simulated twice in that window.
-                    if self._store.contains(key):
+                    # — without this a shared point would be simulated
+                    # twice in that window.
+                    if self._store.get(key) is not None:
                         job.reused += 1
                         continue
                     point = self._add_point_locked(unit)
@@ -1131,15 +1127,17 @@ class SweepService:
             if job.remaining:
                 job.state = RUNNING
                 self._scheduler.add_job(job.job_id, priority=request.priority)
-            else:
-                # Everything was already in the store (a fully warm
-                # resubmit): straight to replay.
+            elif results is None:
+                # The points the probe missed were all committed since.
                 job.state = FINALIZING
                 finalize = True
         self._log.info(
             "job %s planned: %d points (%d to simulate, %d reused)",
             job.job_id, job.total, len(job.remaining), job.reused,
         )
+        if results is not None:
+            self._complete_job(job, results)
+            return
         self._emit_job(job)
         if finalize:
             self._spawn(self._finalize_job, job, name=f"final-{job.job_id}")
@@ -1305,15 +1303,18 @@ class SweepService:
         try:
             with engine_override(request.engine):
                 data, _ = replay(request.experiments, self._store, **request.run_kwargs())
-            # Canonicalise now so a poll's wire round-trip cannot change
-            # the bytes a client exports (see report.canonical_data).
             results = canonical_data(data)
         except Exception as exc:
             with self._lock:
                 self._fail_job_locked(job, f"replay failed: {type(exc).__name__}: {exc}")
             return
+        self._complete_job(job, results)
+
+    def _complete_job(self, job: _Job, results: Dict[str, Dict]) -> None:
+        """Publish a job's canonical ``results``: ``done``, then its event
+        and its manifest."""
         with self._lock:
-            if job.state in TERMINAL_STATES:  # cancelled during replay
+            if job.state in TERMINAL_STATES:  # cancelled since its last pass
                 return
             job.results = results
             job.state = DONE

@@ -43,7 +43,6 @@ from .protocol import (
     metrics_message,
     open_connection,
     parse_address,
-    peer_features,
     read_message,
     result_to_wire,
     unit_from_wire,
@@ -203,20 +202,9 @@ def run_worker(
         if welcome is None or welcome.get("type") != "welcome":
             error = (welcome or {}).get("error", "service refused the hello")
             raise ConnectionError(f"handshake failed: {error}")
-        # Feature negotiation: only servers that advertised the
-        # ``metrics`` kind receive telemetry snapshots — an old server
-        # answers unknown kinds with ``done``, which would shut this
-        # worker down mid-run.  Checkpoint streaming is gated the same
-        # way: against an old server the worker simply runs every point
-        # straight through.
-        features = peer_features(welcome)
-        send_metrics = "metrics" in features
-        send_checkpoints = checkpoint_interval is not None and "checkpoint" in features
         log(f"connected to {host}:{port} ({welcome.get('points', '?')} points in the run)")
 
         def report_metrics() -> None:
-            if not send_metrics:
-                return
             snapshot = telemetry.merge_snapshots(registry.snapshot(), telemetry.snapshot())
             try:
                 send(metrics_message(worker_id, snapshot))
@@ -250,7 +238,7 @@ def run_worker(
                 unit = unit_from_wire(reply["unit"])
                 with _Heartbeat(connection, send_lock, key, heartbeat_interval):
                     with telemetry.figure_scope(getattr(unit, "figure", None)):
-                        if send_checkpoints:
+                        if checkpoint_interval is not None:
                             store = _WireCheckpointStore(
                                 send, worker_id, key, reply.get("checkpoint"), stop_requested
                             )

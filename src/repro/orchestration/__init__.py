@@ -45,8 +45,7 @@ from .sweep import (
     filter_run_kwargs,
     open_store,
     persistent_alone_cache,
-    plan_experiment,
-    plan_units,
+    probe,
     replay,
     resolve_experiment,
     supported_run_kwargs,
@@ -78,9 +77,8 @@ __all__ = [
     "open_store",
     "parse_target",
     "persistent_alone_cache",
-    "plan_experiment",
-    "plan_units",
     "point_key",
+    "probe",
     "replay",
     "resolve_experiment",
     "result_from_dict",

@@ -131,9 +131,6 @@ class ResultCache:
             return []
         return sorted(set(self.cache_dir.glob("??/*.json")))
 
-    def contains(self, key: str) -> bool:
-        return key in self._memo or self._path(key).is_file()
-
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or ``None`` on a miss."""
         memoized = self._memo.get(key)

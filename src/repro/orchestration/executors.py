@@ -7,7 +7,7 @@ to ``execute`` ends up committed to the result store (content-addressed,
 so completion order and even duplicate commits are irrelevant), and the
 replay then produces output bit-identical to a serial run.
 
-A result store is any object with ``get(key)``, ``contains(key)`` and
+A result store is any object with ``get(key)`` and
 ``put(key, result, figure=None)``; ``figure`` is an informational label
 that never enters the key.
 
@@ -21,7 +21,7 @@ Built-ins:
 
 Worker fleets on any machines are reached through the ``repro serve``
 daemon instead (:mod:`repro.distributed`, ``--target HOST:PORT``): it
-plans and replays each submitted sweep itself.
+probes and replays each submitted sweep itself.
 """
 
 from __future__ import annotations

@@ -108,12 +108,8 @@ class SweepRequest:
 
     @classmethod
     def from_wire(cls, payload: Mapping) -> "SweepRequest":
-        """Tolerant decode: unknown keys are ignored, missing keys default.
-
-        Version tolerance mirrors the protocol's welcome negotiation — a
-        newer client may send fields this daemon does not know, and an
-        older client may omit fields this daemon added.
-        """
+        """Tolerant decode: unknown keys are ignored, missing keys default
+        (:meth:`to_wire` omits every field left at its default)."""
         if not isinstance(payload, Mapping):
             raise TypeError(f"request payload must be a mapping, got {type(payload).__name__}")
         return cls(
@@ -138,7 +134,7 @@ class SweepStats:
     planned: int = 0
     executed: int = 0
     reused: int = 0
-    #: Wall time of the whole sweep (plan + execute + replay), seconds.
+    #: Wall time of the whole sweep (probe + execute + replay), seconds.
     elapsed: float = 0.0
     #: Causal id of this run (shared by its manifest, journal and the
     #: cache entries it wrote).

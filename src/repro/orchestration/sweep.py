@@ -10,10 +10,11 @@ exactly the points the real run needs, at trace-generation cost only.
 
 :func:`sweep_experiments` is one pipeline:
 
-1. **Probe.**  Run the figures with a :class:`ProbingBackend` installed:
-   it serves store hits, answers each miss with a stub and records the
-   missing point once, asking the store once per distinct key.  With no
-   misses the probe's data is the result, so a warm sweep is one pass.
+1. **Probe** (:func:`probe`).  Run the figures with a
+   :class:`ProbingBackend` installed: it serves store hits, answers each
+   miss with a stub and records the missing point once, asking the store
+   once per distinct key.  With no misses the probe's data is the
+   result, so a warm sweep is one pass.
 2. **Execute.**  Hand the missing points to an
    :class:`~.executors.Executor`: the caller's, or for a local sweep a
    process pool when the misses are worth its start-up and this process
@@ -26,18 +27,18 @@ exactly the points the real run needs, at trace-generation cost only.
    run.
 
 The sweep service (:class:`~repro.distributed.service.SweepService`)
-plans with :func:`plan_units` (a probe over an empty store, so every
-point is recorded) and calls the same :func:`replay` around its worker
-fleet.
+runs the same :func:`probe` on its own store when a job is submitted: a
+warm job's result is the probe's data, and the points a job misses go to
+its worker fleet before the same :func:`replay`.
 
-Each plan and each replay is one *pass*
+Each probe and each replay is one *pass*
 (:func:`~repro.workloads.memo.sweep_pass`): it generates each distinct
 trace once, however many figures, configs and alone runs use it, and
 computes each config's key fragment once.  A local sweep's probe and
 replay share one pass, so the replay reuses the probe's traces.  Shared
 traces are read-only.  The memo is dropped when the pass returns, so a
-plan holds only the traces its units reference and a sweep holds
-nothing afterwards.
+probe's missing points hold only the traces they reference and a sweep
+holds nothing afterwards.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class InMemoryResultStore:
         self.hits = 0
         self.misses = 0
         self._data: Dict[str, SimulationResult] = {}
-
-    def contains(self, key: str) -> bool:
-        return key in self._data
 
     def get(self, key: str) -> Optional[SimulationResult]:
         result = self._data.get(key)
@@ -213,12 +211,12 @@ class CacheServingBackend:
 class ProbingBackend:
     """Serves store hits and answers each miss with a stub, recording it.
 
-    The first pass of :func:`sweep_experiments`; over an empty store, the
-    planner of :func:`plan_experiment`.  Each distinct key is looked up
-    in the store once.  ``points``/``figures`` record every key the
-    figures read, in first-read order: ``"replayed"`` for a hit,
-    ``"simulated"`` for a miss, whose unit ``missing`` holds for the
-    executor.  ``figure`` (mutable between figures) labels them.
+    The first pass of :func:`sweep_experiments` and of a service job
+    (see :func:`probe`).  Each distinct key is looked up in the store
+    once.  ``points``/``figures`` record every key the figures read, in
+    first-read order: ``"replayed"`` for a hit, ``"simulated"`` for a
+    miss, whose unit ``missing`` holds for the executor.  ``figure``
+    (mutable between figures) labels them.
     """
 
     def __init__(self, store) -> None:
@@ -297,36 +295,6 @@ def _run_figure(module, kwargs: Dict) -> Dict:
     return module.run(**call_kwargs)
 
 
-def plan_experiment(experiment, **kwargs) -> List[SimulationUnit]:
-    """Enumerate the simulation points ``experiment`` needs, without simulating.
-
-    One pass (see :func:`~repro.workloads.memo.sweep_pass`), or part of
-    the caller's.  An experiment given by id labels its units with that
-    id (see :attr:`SimulationUnit.figure`).
-    """
-    module = resolve_experiment(experiment)
-    backend = ProbingBackend(InMemoryResultStore())
-    backend.figure = experiment if isinstance(experiment, str) else None
-    with sweep_pass(), sim_runner.simulation_backend(backend):
-        _run_figure(module, kwargs)
-    return list(backend.missing.values())
-
-
-def plan_units(labels: Iterable[str], **kwargs) -> Dict[str, SimulationUnit]:
-    """The distinct simulation points of the experiments ``labels``.
-
-    Keyed by content key; a point shared by several figures keeps the
-    first planner's label.  One pass: units of different points share
-    the trace objects they have in common.
-    """
-    units: Dict[str, SimulationUnit] = {}
-    with sweep_pass():
-        for label in labels:
-            for unit in plan_experiment(label, **kwargs):
-                units.setdefault(unit.key, unit)
-    return units
-
-
 def _run_figures(labels: Iterable[str], backend, kwargs: Dict) -> Dict[str, Dict]:
     """The figures ``labels`` with ``backend`` installed, as one pass."""
     data: Dict[str, Dict] = {}
@@ -336,6 +304,20 @@ def _run_figures(labels: Iterable[str], backend, kwargs: Dict) -> Dict[str, Dict
             with telemetry.registry().time(f"sweep.figure_seconds.{label}"):
                 data[label] = _run_figure(resolve_experiment(label), kwargs)
     return data
+
+
+def probe(labels: Iterable[str], store, **kwargs) -> Tuple[Dict[str, Dict], ProbingBackend]:
+    """Run the experiments ``labels`` serving only what ``store`` holds.
+
+    One pass (see :func:`~repro.workloads.memo.sweep_pass`), or part of
+    the caller's.  Returns the figure label → data dict mapping and the
+    backend, whose ``points``/``figures`` record the distinct keys read
+    and whose ``missing`` holds a unit per key the store lacked.  With
+    nothing missing the data is real and bit-identical to a replay's;
+    otherwise it is built from stubs and must be discarded.
+    """
+    backend = ProbingBackend(store)
+    return _run_figures(labels, backend, kwargs), backend
 
 
 def replay(
@@ -440,12 +422,11 @@ def sweep_experiments(
     try:
         with sim_runner.engine_override(request.engine), sweep_pass():
             telemetry.emit("phase.start", phase="probe", run=run_id)
-            probe = reads = ProbingBackend(store)
-            data = _run_figures(labels, probe, kwargs)
-            missing = list(probe.missing.values())
+            data, probed = probe(labels, store, **kwargs)
+            reads, missing = probed, list(probed.missing.values())
             telemetry.emit(
                 "phase.end", phase="probe", run=run_id,
-                points=len(probe.points), missing=len(missing),
+                points=len(probed.points), missing=len(missing),
             )
             if missing:
                 executor = executor or local_executor(missing)
@@ -453,7 +434,7 @@ def sweep_experiments(
                 executed = executor.execute(missing, store)
                 telemetry.emit(
                     "phase.end", phase="execute", run=run_id,
-                    executed=executed, reused=len(probe.points) - executed,
+                    executed=executed, reused=len(probed.points) - executed,
                 )
                 telemetry.emit("phase.start", phase="replay", run=run_id)
                 data, reads = replay(labels, store, **kwargs)
@@ -466,7 +447,7 @@ def sweep_experiments(
         runs = getattr(store, "runs", {})
         for key, state in reads.points.items():
             figure = reads.figures[key]
-            if state == "replayed" and key not in probe.missing:
+            if state == "replayed" and key not in probed.missing:
                 origin = runs.get(key)
                 telemetry.emit("point.replay", point=key, figure=figure, run=origin)
             else:

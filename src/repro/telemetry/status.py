@@ -41,6 +41,8 @@ REQUIRED_FIELDS = (
     "cache",
     "figures",
     "metrics",
+    "jobs",
+    "scheduler",
 )
 
 
@@ -48,8 +50,7 @@ def fetch_status(address: Tuple[str, int], timeout: float = 5.0) -> Dict:
     """One status payload from the service at ``address``.
 
     Raises ``OSError`` if the service is unreachable and ``ValueError``
-    if it answers with something other than a status payload (e.g. a
-    pre-telemetry server that does not speak the message kind).
+    if it answers with something other than a status payload.
     """
     with open_connection(address, timeout=timeout) as sock:
         sock.sendall(encode_message({"type": "status", "protocol": PROTOCOL_VERSION}))
@@ -73,20 +74,13 @@ def validate_status(payload: Dict) -> List[str]:
         value = payload.get(field)
         if field not in problems and not isinstance(value, int):
             problems.append(field)
-    if "workers" not in problems and not isinstance(payload.get("workers"), dict):
-        problems.append("workers")
-    if "figures" not in problems and not isinstance(payload.get("figures"), dict):
-        problems.append("figures")
+    for field in ("workers", "figures", "jobs", "scheduler"):
+        if field not in problems and not isinstance(payload.get(field), dict):
+            problems.append(field)
     metrics = payload.get("metrics")
     if "metrics" not in problems:
         if not isinstance(metrics, dict) or not isinstance(metrics.get("counters"), dict):
             problems.append("metrics")
-    # Validated when present, never required: an older build's one-shot
-    # coordinator omits them.
-    if "jobs" in payload and not isinstance(payload.get("jobs"), dict):
-        problems.append("jobs")
-    if "scheduler" in payload and not isinstance(payload.get("scheduler"), dict):
-        problems.append("scheduler")
     return problems
 
 
@@ -173,34 +167,31 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
             f"completed {worker.get('completed', 0)}, last seen {seen}"
         )
 
-    # Jobs table: absent from an older build's one-shot coordinator,
-    # which has no notion of jobs.
-    jobs = payload.get("jobs")
-    if isinstance(jobs, dict):
-        if not jobs:
-            lines.append("jobs     (none submitted yet)")
-        for job_id in sorted(jobs):
-            job = jobs[job_id]
-            state = job.get("state", "?")
-            label = ",".join(job.get("experiments") or []) or "?"
-            lines.append(
-                f"job      {job_id:<10} {state:<10} {job.get('priority', '?'):<11} "
-                f"{job.get('completed', 0)}/{job.get('points', 0)} points, "
-                f"reused {job.get('reused', 0)}  [{label}]  "
-                f"tenant {job.get('tenant', '?')}"
-            )
-        scheduler = payload.get("scheduler")
-        if isinstance(scheduler, dict):
-            blacklisted = sum(
-                1 for tenant in (scheduler.get("jobs") or {}).values()
-                if isinstance(tenant, dict) and tenant.get("blacklisted")
-            )
-            lines.append(
-                f"fairness quantum {scheduler.get('service_quantum', '?')}, "
-                f"clearing every {scheduler.get('clearing_interval', '?')}s "
-                f"({scheduler.get('clear_events', 0)} clearings, "
-                f"{blacklisted} currently blacklisted)"
-            )
+    jobs = payload.get("jobs") or {}
+    if not jobs:
+        lines.append("jobs     (none submitted yet)")
+    for job_id in sorted(jobs):
+        job = jobs[job_id]
+        state = job.get("state", "?")
+        label = ",".join(job.get("experiments") or []) or "?"
+        lines.append(
+            f"job      {job_id:<10} {state:<10} {job.get('priority', '?'):<11} "
+            f"{job.get('completed', 0)}/{job.get('points', 0)} points, "
+            f"reused {job.get('reused', 0)}  [{label}]  "
+            f"tenant {job.get('tenant', '?')}"
+        )
+    scheduler = payload.get("scheduler")
+    if isinstance(scheduler, dict):
+        blacklisted = sum(
+            1 for tenant in (scheduler.get("jobs") or {}).values()
+            if isinstance(tenant, dict) and tenant.get("blacklisted")
+        )
+        lines.append(
+            f"fairness quantum {scheduler.get('service_quantum', '?')}, "
+            f"clearing every {scheduler.get('clearing_interval', '?')}s "
+            f"({scheduler.get('clear_events', 0)} clearings, "
+            f"{blacklisted} currently blacklisted)"
+        )
 
     counters = (payload.get("metrics") or {}).get("counters") or {}
 

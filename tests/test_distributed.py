@@ -22,8 +22,10 @@ import pytest
 
 from repro.cpu.trace import Trace, TraceEntry
 from repro.distributed import (
+    ServiceError,
     SweepClient,
     SweepService,
+    WatchClient,
     parse_address,
     run_worker,
     spawn_local_worker,
@@ -106,19 +108,44 @@ class TestProtocol:
         assert result_from_wire(json.loads(json.dumps(result_to_wire(result)))) == result
 
     def test_service_refuses_hello_from_protocol_1(self):
-        # Protocol 1 work frames carried the TRNG entropy seed in their
-        # config, which this build cannot read: such a peer is refused.
+        """Every older peer is refused, in every role.  Protocol 1 work
+        frames carried the TRNG entropy seed in their config, which this
+        build cannot read; a protocol 2 welcome advertised features this
+        build no longer sends."""
+        service = SweepService(InMemoryResultStore())
+        address = service.start()
+        replies = []
+        try:
+            for protocol in (1, 2):
+                for role in ("worker", "client", "observer"):
+                    with socket.create_connection(address) as connection:
+                        stale = dict(hello_message("stale", role=role), protocol=protocol)
+                        connection.sendall(encode_message(stale))
+                        replies.append(decode_message(connection.makefile("rb").readline()))
+        finally:
+            service.stop()
+        assert len(replies) == 6
+        for reply in replies:
+            assert reply["type"] == "done"
+            assert "protocol mismatch" in reply["error"]
+
+    @pytest.mark.parametrize("client_class", [SweepClient, WatchClient])
+    def test_clients_raise_on_a_protocol_mismatch(self, monkeypatch, client_class):
+        """A client whose hello says protocol 2 is refused by this
+        service, and says so at once."""
+        from repro.distributed import client as client_module
+
+        def protocol_2_hello(*args, **kwargs):
+            return dict(hello_message(*args, **kwargs), protocol=2)
+
+        monkeypatch.setattr(client_module, "hello_message", protocol_2_hello)
         service = SweepService(InMemoryResultStore())
         address = service.start()
         try:
-            with socket.create_connection(address) as connection:
-                stale = dict(hello_message("stale"), protocol=1)
-                connection.sendall(encode_message(stale))
-                reply = decode_message(connection.makefile("rb").readline())
+            with pytest.raises(ServiceError, match="protocol mismatch"):
+                client_class(address)
         finally:
             service.stop()
-        assert reply["type"] == "done"
-        assert "protocol mismatch" in reply["error"]
 
     def test_parse_address(self):
         assert parse_address("10.0.0.7:9876") == ("10.0.0.7", 9876)

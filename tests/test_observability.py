@@ -3,8 +3,8 @@
 Covers the event bus's ordering guarantees (total ``seq`` order to every
 subscriber, even under concurrent emits), the persisted journals and
 their Chrome trace-event export, the streaming ``watch`` protocol
-(subscribe/unsubscribe, delta ordering over the wire, version tolerance
-in both directions), the service journal replay that makes job history
+(subscribe/unsubscribe, delta ordering over the wire, tolerance of
+unknown fields), the service journal replay that makes job history
 survive a daemon restart, per-point provenance in sweep stats and run
 manifests, the engine phase profile — and the acceptance bar throughout:
 tracing on, off or absent never changes a single result bit.
@@ -26,7 +26,6 @@ from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     encode_message,
     hello_message,
-    peer_features,
     read_message,
 )
 from repro.orchestration import (
@@ -284,13 +283,10 @@ class TestChromeExport:
 class WatchWire:
     """Raw socket driver for the watch wire protocol (test-side)."""
 
-    def __init__(self, address, role="observer", features=None):
+    def __init__(self, address, role="observer"):
         self.connection = socket.create_connection(tuple(address), timeout=10.0)
         self.stream = self.connection.makefile("rb")
-        hello = hello_message(f"wire-{role}", pid=1, role=role)
-        if features is not None:  # simulate older/newer clients
-            hello["features"] = features
-        self.send(hello)
+        self.send(hello_message(f"wire-{role}", pid=1, role=role))
         self.welcome = self.receive()
 
     def send(self, payload):
@@ -319,12 +315,6 @@ def service():
 
 
 class TestWatchProtocol:
-    def test_welcome_advertises_watch(self, service):
-        _, address, _ = service
-        wire = WatchWire(address)
-        assert "watch" in peer_features(wire.welcome)
-        wire.close()
-
     def test_subscribe_acks_with_seq_and_status_snapshot(self, service):
         _, address, _ = service
         wire = WatchWire(address)
@@ -403,7 +393,6 @@ class TestWatchProtocol:
     def test_watch_client_streams_and_seeds_status(self, service):
         svc, address, _ = service
         with WatchClient(address) as watcher:
-            assert watcher.supports_watch
             assert watcher.status is not None and watcher.status["type"] == "status"
             svc.events.emit("job.state", job="job-0001", state="running")
             event = next(watcher.events())
@@ -427,42 +416,6 @@ class TestWatchProtocol:
         with WatchClient(address) as watcher:
             svc.events.emit("point.commit", point="after-subscribe")
             assert next(watcher.events())["point"] == "after-subscribe"
-
-    def test_watch_client_degrades_against_pre_watch_peer(self):
-        # Backward tolerance: a peer whose welcome lacks the "watch"
-        # feature leaves the client constructed but inert — the CLI
-        # falls back to status polling instead of erroring.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        address = listener.getsockname()
-
-        def old_daemon():
-            connection, _ = listener.accept()
-            stream = connection.makefile("rb")
-            read_message(stream)  # the hello
-            connection.sendall(
-                encode_message(
-                    {
-                        "type": "welcome",
-                        "protocol": PROTOCOL_VERSION,
-                        "features": ["metrics", "status"],  # pre-watch era
-                    }
-                )
-            )
-            time.sleep(0.2)
-            connection.close()
-
-        thread = threading.Thread(target=old_daemon, daemon=True)
-        thread.start()
-        watcher = WatchClient(address)
-        try:
-            assert not watcher.supports_watch
-            assert list(watcher.events()) == []
-        finally:
-            watcher.close()
-            listener.close()
-            thread.join(timeout=5)
 
     def test_watch_client_raises_on_refused_handshake(self):
         listener = socket.socket()

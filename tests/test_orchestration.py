@@ -29,8 +29,8 @@ from repro.orchestration import (
     SweepRequest,
     canonical_data,
     filter_run_kwargs,
-    plan_experiment,
     point_key,
+    probe,
     replay,
     result_from_dict,
     result_to_dict,
@@ -135,7 +135,6 @@ class TestResultCache:
         ResultCache(tmp_path).put(key, result)
         # A fresh instance simulates a new process reading the same directory.
         fresh = ResultCache(tmp_path)
-        assert fresh.contains(key)
         assert fresh.get(key) == result
         assert fresh.hits == 1
 
@@ -264,9 +263,10 @@ class TestPersistentAloneRunCache:
 class TestPlanning:
     def test_plan_enumerates_without_polluting_caches(self):
         before = len(sim_runner.GLOBAL_ALONE_CACHE)
-        units = plan_experiment(
-            "fig6", apps=representative_subset(2), instructions=2_000
+        _, probed = probe(
+            ("fig6",), InMemoryResultStore(), apps=representative_subset(2), instructions=2_000
         )
+        units = list(probed.missing.values())
         # 2 mixes x 3 designs shared runs + 3 alone runs (2 apps + rng).
         assert len(units) == 9
         assert len({unit.key for unit in units}) == len(units)
@@ -276,11 +276,11 @@ class TestPlanning:
     @pytest.mark.parametrize("figure", ["fig6", "fig10", "fig11", "fig13"])
     def test_plan_is_exactly_the_points_the_replay_reads(self, figure):
         # fig10/fig11/fig13 vary DR-STRaNGe knobs that the alone runs
-        # ignore: a plan with extra alone points would make a
-        # distributed sweep simulate work the replay never reads.
-        # The probe of every local sweep relies on the same property.
+        # ignore: a probe with extra alone points would make a sweep,
+        # local or on the service, simulate work the replay never reads.
         request = SweepRequest(experiments=(figure,), instructions=2_000)
-        planned = {unit.key for unit in plan_experiment(figure, **request.run_kwargs())}
+        _, probed = probe((figure,), InMemoryResultStore(), **request.run_kwargs())
+        planned = set(probed.missing)
         _, real = replay((figure,), InMemoryResultStore(), **request.run_kwargs())
         assert planned == set(real.points)
         assert set(real.points.values()) == {"simulated"}

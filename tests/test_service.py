@@ -11,6 +11,8 @@ overlapping points simulated exactly once.
 
 from __future__ import annotations
 
+import collections
+import json
 import socket
 import threading
 import time
@@ -19,19 +21,16 @@ import pytest
 
 from repro import telemetry
 from repro.distributed import (
-    ServiceError,
     SweepClient,
     SweepService,
     TenantScheduler,
     WatchClient,
 )
 from repro.distributed.protocol import (
-    PROTOCOL_VERSION,
     checkpoint_message,
     decode_message,
     encode_message,
     hello_message,
-    peer_features,
     unit_from_wire,
 )
 from repro.orchestration import (
@@ -40,6 +39,7 @@ from repro.orchestration import (
     SweepRequest,
     sweep_experiments,
 )
+from repro.orchestration import sweep as sweep_module
 from repro.sim import checkpoint
 from repro.sim.system import System
 from tests.test_distributed import (
@@ -237,12 +237,6 @@ BOTH = SweepRequest(experiments=("fig5", "fig6"), instructions=1500)
 
 
 class TestServiceProtocol:
-    def test_welcome_advertises_jobs_feature(self, service):
-        _, address, _ = service
-        client = FakeClient(address)
-        assert "jobs" in peer_features(client.welcome)
-        client.close()
-
     def test_submit_rejects_unknown_experiment(self, service):
         _, address, _ = service
         client = FakeClient(address)
@@ -305,31 +299,6 @@ class TestServiceProtocol:
         assert job_id in payload["jobs"]
         assert payload["scheduler"]["service_quantum"] == 4
         client.close()
-
-    def test_sweep_client_refuses_plain_coordinator(self):
-        """A peer whose welcome lacks ``jobs`` is refused up front: an
-        older build's one-shot coordinator speaks protocol 2 too."""
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-
-            def answer():
-                connection, _ = listener.accept()
-                with connection, connection.makefile("rb") as stream:
-                    assert decode_message(stream.readline())["type"] == "hello"
-                    welcome = {
-                        "type": "welcome",
-                        "protocol": PROTOCOL_VERSION,
-                        "points": 1,
-                        "features": ["metrics", "status", "watch", "checkpoint"],
-                    }
-                    connection.sendall(encode_message(welcome))
-                    stream.readline()  # the client's goodbye, or EOF
-
-            peer = threading.Thread(target=answer, daemon=True)
-            peer.start()
-            host, port = listener.getsockname()
-            with pytest.raises(ServiceError, match="job submissions"):
-                SweepClient(f"{host}:{port}")
-            peer.join(timeout=5)
 
 
 # ----------------------------------------------------------------- fairness (service level)
@@ -460,7 +429,7 @@ class TestTwoClientEquivalence:
         # in-process workers record every run in the process registry).
         assert tick_runs() > tick_runs_before
 
-    def test_second_submit_after_completion_is_all_reuse(self):
+    def test_second_submit_after_completion_is_all_reuse(self, monkeypatch):
         store = InMemoryResultStore()
         svc = SweepService(store, **FAST)
         address = svc.start()
@@ -469,17 +438,31 @@ class TestTwoClientEquivalence:
             workers = [start_worker_thread(address, "inproc-reuse")]
             with SweepClient(address) as client:
                 first = client.run(FIG5, timeout=120)
-                status = client.poll(client.submit(FIG5))
-                # Every point is already in the shared store: the job
-                # finalises without touching the fleet.
-                deadline = time.monotonic() + 30
-                while not status.finished and time.monotonic() < deadline:
-                    time.sleep(0.05)
-                    status = client.poll(status.job_id)
+                # Every point is already in the shared store: the probe's
+                # data is the job's result, so the job touches neither the
+                # fleet nor a replay, and runs each figure once.
+                figure_runs = collections.Counter()
+                run_figure = sweep_module._run_figure
+
+                def counting_run_figure(module, kwargs):
+                    figure_runs[module.__name__] += 1
+                    return run_figure(module, kwargs)
+
+                monkeypatch.setattr(sweep_module, "_run_figure", counting_run_figure)
+                status = client.wait(client.submit(FIG5), timeout=30)
                 assert status.state == "done"
                 assert status.executed == 0
                 assert status.reused == status.points
+                assert list(figure_runs.values()) == [1] * len(FIG5.experiments)
                 assert dumps(client.results(status.job_id)) == dumps(first)
+
+                def no_replay(self, job):
+                    raise AssertionError(f"warm job {job.job_id} was replayed")
+
+                monkeypatch.setattr(SweepService, "_finalize_job", no_replay)
+                again = client.wait(client.submit(FIG5), timeout=10)
+                assert again.state == "done"
+                assert dumps(client.results(again.job_id)) == dumps(first)
         finally:
             svc.stop()
             for thread in workers:
@@ -515,7 +498,6 @@ class TestNoDelay:
         try:
             worker = start_worker_thread(address, "nodelay-worker")
             with SweepClient(address) as client, WatchClient(address) as watcher:
-                assert watcher.supports_watch
                 wait_until(lambda: "nodelay-worker" in svc.status_payload()["workers"])
                 with svc._lock:
                     accepted = list(svc._connections.values())
@@ -531,11 +513,8 @@ class TestNoDelay:
 class TestServiceShutdown:
     def test_stop_leaves_no_planner_or_finalizer_alive(self, monkeypatch):
         """Planners start from connection threads and finalizers from
-        planners and commits, while the accept loop prunes the thread
-        list.  ``stop()`` must join every one of them and start none
-        after it has begun."""
-        store = InMemoryResultStore()
-        sweep_experiments(FIG5, store=store)  # warm: FIG5 jobs go straight to replay
+        commits, while the accept loop prunes the thread list.  ``stop()``
+        must join every one of them and start none after it has begun."""
         real_plan, real_finalize = SweepService._plan_job, SweepService._finalize_job
 
         def slow_plan(self, job):
@@ -549,18 +528,28 @@ class TestServiceShutdown:
         monkeypatch.setattr(SweepService, "_plan_job", slow_plan)
         monkeypatch.setattr(SweepService, "_finalize_job", slow_finalize)
         before = set(threading.enumerate())
-        svc = SweepService(store, **FAST)
+        svc = SweepService(InMemoryResultStore(), **FAST)
         address = svc.start()
+        worker = None
         try:
+            worker = start_worker_thread(address, "shutdown-worker")
             for index in range(3):  # finalizers in flight at stop()
+                # Each job misses its own points, so its last commit
+                # spawns a finalizer (a warm job would need none).
+                request = SweepRequest(experiments=("fig5",), instructions=1500 + 100 * index)
                 with SweepClient(address, tenant=f"replayed-{index}") as client:
-                    job_id = client.submit(FIG5)
-                    wait_until(lambda: client.poll(job_id).state in ("finalizing", "done"))
+                    job_id = client.submit(request)
+                    wait_until(
+                        lambda: client.poll(job_id).state in ("finalizing", "done"), timeout=60
+                    )
             for index in range(3):  # planners in flight at stop()
                 with SweepClient(address, tenant=f"planning-{index}") as client:
                     client.submit(FIG5)
         finally:
             svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+        assert worker is not None and not worker.is_alive()
         leftover = [
             thread.name
             for thread in threading.enumerate()
@@ -660,6 +649,33 @@ class TestServiceFaultTolerance:
             if worker is not None:
                 worker.join(timeout=5)
 
+    @pytest.mark.parametrize("lease_ends", ["disconnect", "expiry"])
+    def test_leased_point_of_a_cancelled_job_is_dropped_when_its_lease_dies(self, lease_ends):
+        """Cancelling a job keeps its leased point for the commit; when
+        the lease dies instead, no live job needs the point, so it is
+        dropped rather than queued for nobody."""
+        timings = PATIENT if lease_ends == "disconnect" else FAST
+        svc = SweepService(InMemoryResultStore(), **timings)
+        address = svc.start()
+        holder = None
+        try:
+            with SweepClient(address) as client:
+                job_id = client.submit(FIG5)
+                wait_until(lambda: client.poll(job_id).state == "running")
+                holder = FakeClient(address, "holder", role="worker")
+                key = holder.lease_work()["unit"]["key"]
+                assert client.cancel(job_id).state == "cancelled"
+                with svc._lock:
+                    assert list(svc._points) == [key]
+                if lease_ends == "disconnect":
+                    holder.close()
+                wait_until(lambda: not svc._points)
+                assert svc.status_payload()["pending"] == 0
+        finally:
+            if holder is not None:
+                holder.close()
+            svc.stop()
+
 
 class TestServiceCheckpointResume:
     """Checkpointing workers stay in the fleet: the service stores each
@@ -728,15 +744,25 @@ class TestServiceCheckpointResume:
 
 
 class TestServiceStore:
-    def test_non_object_store_entry_is_resimulated(self, tmp_path):
-        """A store entry that is valid JSON but not an object is corrupt:
-        planning deletes and resimulates it instead of dying, so the job
-        does not stay ``planning`` forever."""
-        serial = sweep_experiments(FIG5, store=InMemoryResultStore())
-        store = ResultCache(tmp_path)
-        path = store._path(sorted(serial.stats.points)[0])
+    @pytest.mark.parametrize("entry", ["non-object", "other-schema"])
+    def test_non_object_store_entry_is_resimulated(self, tmp_path, entry):
+        """An entry the store cannot serve is a miss, planned for the
+        fleet like any other.  One that is valid JSON but not an object
+        is corrupt: planning deletes it instead of dying, so the job does
+        not stay ``planning`` forever.  One of another schema version is
+        kept until the commit overwrites it, and is never counted as
+        reused."""
+        warm = ResultCache(tmp_path / "warm")
+        serial = sweep_experiments(FIG5, store=warm)
+        key = sorted(serial.stats.points)[0]
+        if entry == "non-object":
+            text = "[1, 2]"
+        else:
+            text = json.dumps(dict(json.loads(warm._path(key).read_text()), schema=-1))
+        store = ResultCache(tmp_path / "service")
+        path = store._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("[1, 2]", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         svc = SweepService(store, **FAST)
         address = svc.start()
         worker = None

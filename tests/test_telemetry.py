@@ -3,11 +3,10 @@
 Covers the metrics registry's snapshot-and-merge algebra (the
 commutative/associative rules that make fleet aggregation
 deterministic), the observe-only hooks threaded through the engines and
-the result cache, run manifests, the sweep service's live status surface
-(including version tolerance of the feature negotiation), the logging
-setup, and the CLI's ``status``/``runs`` subcommands — ending with the
-acceptance bar: a telemetry-enabled run's JSON export is byte-identical
-to a ``--no-telemetry`` run's.
+the result cache, run manifests, the sweep service's live status
+surface, the logging setup, and the CLI's ``status``/``runs``
+subcommands — ending with the acceptance bar: a telemetry-enabled run's
+JSON export is byte-identical to a ``--no-telemetry`` run's.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from repro import telemetry
 from repro.cpu.trace import Trace, TraceEntry
 from repro.distributed import SweepService
 from repro.distributed.protocol import (
-    FEATURES,
     metrics_message,
-    peer_features,
     unit_from_wire,
     unit_to_wire,
 )
@@ -397,28 +394,6 @@ class TestRunManifests:
 
 
 class TestStatusSurface:
-    def test_welcome_advertises_features_and_peer_features_parses(self):
-        service = SweepService(InMemoryResultStore(), **FAST)
-        address = service.start()
-        try:
-            worker = FakeWorker(address)
-            features = peer_features(worker.welcome)
-            assert features == frozenset(FEATURES)
-            assert {"metrics", "status", "jobs"} <= features
-            worker.close()
-        finally:
-            service.stop()
-
-    def test_peer_features_tolerates_pre_telemetry_welcome(self):
-        # An old server sends no features field at all; a hostile or
-        # garbled one may send the wrong type.  Both map to "send nothing
-        # optional", the original message set.
-        assert peer_features({"type": "welcome"}) == frozenset()
-        assert peer_features({"type": "welcome", "features": "metrics"}) == frozenset()
-        assert peer_features({"type": "welcome", "features": [1, "status"]}) == (
-            frozenset({"status"})
-        )
-
     def test_status_payload_shape_and_live_progress(self):
         with Fig5Job(**FAST) as job:
             service, address = job.service, job.address
@@ -486,13 +461,15 @@ class TestStatusSurface:
             figures={},
             cache={},
             metrics={"counters": {}},
+            jobs={},
+            scheduler={},
             elapsed_seconds=1.0,
             points_per_second=0.0,
         )
         assert validate_status(good) == []
-        bad = dict(good, points="three", workers=[], metrics={"counters": 7})
+        bad = dict(good, points="three", workers=[], metrics={"counters": 7}, jobs=[])
         problems = validate_status(bad)
-        assert set(problems) == {"points", "workers", "metrics"}
+        assert set(problems) == {"points", "workers", "metrics", "jobs"}
 
     def test_format_status_renders_every_section(self):
         payload = {
