@@ -413,8 +413,9 @@ class SweepService:
 
     def status_payload(self) -> Dict:
         """The live ``status`` reply: fleet progress, per-worker liveness,
-        per-figure ETA, cache accounting, merged telemetry, the jobs table
-        and the fairness scheduler's state.
+        per-figure ETA, cache accounting (the points the jobs reused and
+        simulated), merged telemetry, the jobs table and the fairness
+        scheduler's state.
 
         ETAs are naive linear extrapolations from the whole-run commit
         rate — honest enough for a progress surface, deliberately not a
@@ -465,9 +466,11 @@ class SweepService:
             "workers": workers,
             "elapsed_seconds": elapsed,
             "points_per_second": rate,
+            # Points, not store lookups: a job's probe, its under-lock
+            # re-check and its replay each ask the store for a point.
             "cache": {
-                "hits": getattr(self._store, "hits", 0),
-                "misses": getattr(self._store, "misses", 0),
+                "hits": sum(job["reused"] for job in jobs.values()),
+                "misses": sum(job["executed"] for job in jobs.values()),
             },
             "figures": figures,
             "metrics": merged,

@@ -111,11 +111,20 @@ class AddressMapping:
         The returned address is aligned to a cache block.
         """
         org = self.organization
-        self._check_range("channel", channel, org.channels)
-        self._check_range("rank", rank, org.ranks_per_channel)
-        self._check_range("bank", bank, org.banks_per_rank)
-        self._check_range("row", row, org.rows_per_bank)
-        self._check_range("column", column, org.columns_per_row)
+        # One comparison chain on the fast path (trace generation encodes
+        # every address); the per-field checks only name the bad field.
+        if not (
+            0 <= channel < org.channels
+            and 0 <= rank < org.ranks_per_channel
+            and 0 <= bank < org.banks_per_rank
+            and 0 <= row < org.rows_per_bank
+            and 0 <= column < org.columns_per_row
+        ):
+            self._check_range("channel", channel, org.channels)
+            self._check_range("rank", rank, org.ranks_per_channel)
+            self._check_range("bank", bank, org.banks_per_rank)
+            self._check_range("row", row, org.rows_per_bank)
+            self._check_range("column", column, org.columns_per_row)
         bits = row
         bits = bits * org.ranks_per_channel + rank
         bits = bits * org.banks_per_rank + bank

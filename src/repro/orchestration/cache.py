@@ -37,19 +37,30 @@ from .keys import SCHEMA_VERSION, point_key
 # ----------------------------------------------------------------- serialisation
 
 
+def _record(record) -> Dict:
+    """``dataclasses.asdict(record)`` for a flat result record, whose fields
+    hold scalars and lists of scalars, without ``asdict``'s per-value deep
+    copy (a list is still copied)."""
+    fields = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        fields[field.name] = list(value) if isinstance(value, list) else value
+    return fields
+
+
 def result_to_dict(result: SimulationResult) -> Dict:
     """Serialise a :class:`SimulationResult` to JSON-compatible data."""
     return {
         "design": result.design,
         "total_cycles": result.total_cycles,
-        "cores": [dataclasses.asdict(core) for core in result.cores],
-        "channels": [dataclasses.asdict(channel) for channel in result.channels],
+        "cores": [_record(core) for core in result.cores],
+        "channels": [_record(channel) for channel in result.channels],
         "buffer_serve_rate": result.buffer_serve_rate,
         "buffer_serves": result.buffer_serves,
         "rng_requests": result.rng_requests,
         "predictor_accuracy": result.predictor_accuracy,
         "predictor_predictions": result.predictor_predictions,
-        "energy": dataclasses.asdict(result.energy),
+        "energy": _record(result.energy),
         "memory_busy_cycles": result.memory_busy_cycles,
         "scheduler_stats": dict(result.scheduler_stats),
     }
@@ -73,14 +84,21 @@ def result_from_dict(payload: Dict) -> SimulationResult:
     )
 
 
-def _atomic_write_json(path: Path, payload: Dict, **dump_kwargs) -> None:
+def _atomic_write_json(path: str | os.PathLike, payload: Dict, **dump_kwargs) -> int:
     """Write ``payload`` as JSON via temp file + ``os.replace`` so no
-    concurrent reader (or interrupted writer) can observe a torn file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    concurrent reader (or interrupted writer) can observe a torn file.
+
+    Returns the bytes written.  ``json.dumps`` encodes in one call of the
+    C encoder, where ``json.dump`` on a handle runs the pure-Python one;
+    both give the same text.
+    """
+    data = json.dumps(payload, **dump_kwargs).encode("utf-8")
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, **dump_kwargs)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -88,6 +106,7 @@ def _atomic_write_json(path: Path, payload: Dict, **dump_kwargs) -> None:
         except OSError:
             pass
         raise
+    return len(data)
 
 
 # ----------------------------------------------------------------- disk store
@@ -102,6 +121,9 @@ class ResultCache:
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
         self.cache_dir = Path(cache_dir)
+        #: ``cache_dir`` ending in a separator: entry paths are joined on
+        #: it as strings, without pathlib's per-call parsing.
+        self._root = os.path.join(self.cache_dir, "")
         self.hits = 0
         self.misses = 0
         self._memo: Dict[str, SimulationResult] = {}
@@ -113,8 +135,8 @@ class ResultCache:
         #: every entry records which run produced it.
         self.run_context: Optional[str] = None
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._root}{key[:2]}{os.sep}{key}.json"
 
     def _entry_snapshot(self) -> list[Path]:
         """A point-in-time, deduplicated listing of the on-disk entries.
@@ -148,7 +170,7 @@ class ResultCache:
         # a valid record from another code revision (the recompute
         # overwrites it under the same key anyway).
         try:
-            with path.open("r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
             if not isinstance(payload, dict):
                 raise TypeError("entry is not a JSON object")
@@ -166,7 +188,7 @@ class ResultCache:
             self.misses += 1
             telemetry.counter("cache.misses")
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -193,13 +215,9 @@ class ResultCache:
             payload["figure"] = figure
         if self.run_context is not None:
             payload["run"] = self.run_context
-        path = self._path(key)
-        _atomic_write_json(path, payload)
+        written = _atomic_write_json(self._path(key), payload)
         telemetry.counter("cache.puts")
-        try:
-            telemetry.counter("cache.put_bytes", path.stat().st_size)
-        except OSError:
-            pass
+        telemetry.counter("cache.put_bytes", written)
 
     def __len__(self) -> int:
         return len(self._entry_snapshot())

@@ -18,9 +18,10 @@ process; these keys must be stable across processes, CLI invocations
 and machines.
 
 A trace's entry digest is cached on the trace, and inside a sweep pass
-(:mod:`repro.workloads.memo`) a config's canonical JSON is computed once
-per config object; :func:`point_key` joins those canonical fragments
-into exactly the bytes ``canonical_json`` gives for the whole payload.
+(:mod:`repro.workloads.memo`) the canonical JSON of a config and of a
+trace is computed once per object (a pass's traces are read-only);
+:func:`point_key` joins those canonical fragments into exactly the
+bytes ``canonical_json`` gives for the whole payload.
 """
 
 from __future__ import annotations
@@ -52,9 +53,24 @@ def config_fingerprint(config: SimulationConfig) -> Dict:
     test suite), so results cached under one engine stay valid — and are
     shared — under the other.
     """
-    fields = dataclasses.asdict(config)
+    fields = _plain(config)
     fields.pop("engine", None)
     return fields
+
+
+def _plain(value):
+    """``dataclasses.asdict(value)`` for a config, without its deep copy.
+
+    Nested dataclasses become dicts, as in ``asdict``; every other value
+    is returned as is.  Config fields hold only immutable scalars and
+    nested config dataclasses, which ``asdict``'s ``copy.deepcopy``
+    returns unchanged anyway.
+    """
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {
+            field.name: _plain(getattr(value, field.name)) for field in dataclasses.fields(value)
+        }
+    return value
 
 
 def _config_json(config: SimulationConfig) -> str:
@@ -71,12 +87,16 @@ def trace_fingerprint(trace: Trace) -> Dict:
     }
 
 
+def _trace_json(trace: Trace) -> str:
+    return canonical_json(trace_fingerprint(trace))
+
+
 def point_key(traces: Sequence[Trace], config: SimulationConfig) -> str:
     """Content-addressed key of one simulation point: the SHA-256 of
     ``canonical_json({"schema": ..., "config": ..., "traces": [...]})``."""
-    text = '{"config":%s,"schema":%d,"traces":%s}' % (
+    text = '{"config":%s,"schema":%d,"traces":[%s]}' % (
         per_object(config, _config_json),
         SCHEMA_VERSION,
-        canonical_json([trace_fingerprint(trace) for trace in traces]),
+        ",".join([per_object(trace, _trace_json) for trace in traces]),
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Set
 
 from ..controller.queues import RequestQueue
-from ..controller.request import Request, RequestType
+from ..controller.request import Request
 from .base import MemoryScheduler
 
 if TYPE_CHECKING:  # pragma: no cover

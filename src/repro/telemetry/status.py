@@ -145,7 +145,7 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
     misses = cache.get("misses", 0)
     total = hits + misses
     ratio = f"{hits / total:.0%}" if total else "n/a"
-    lines.append(f"cache    {hits} hits / {misses} misses (hit rate {ratio})")
+    lines.append(f"cache    {hits} points reused / {misses} simulated (hit rate {ratio})")
 
     figures = payload.get("figures") or {}
     for name in sorted(figures):

@@ -6,8 +6,9 @@ the same workload traces again and again — figures evaluate one mix
 under several configs, and figures share mixes and alone runs.  Inside
 a pass the trace generators return the :class:`~repro.cpu.trace.Trace`
 the pass already generated for the same arguments, and per-object
-derivations (a config's canonical JSON, its alone-run config) are
-computed once per object.  Outside a pass every call computes afresh.
+derivations (a config's or a trace's canonical JSON, a config's
+alone-run config) are computed once per object.  Outside a pass every
+call computes afresh.
 
 Shared traces are read-only: a caller that mutates one would change it
 for every later caller of the pass.  The memo lives exactly as long as

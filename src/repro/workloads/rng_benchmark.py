@@ -16,6 +16,7 @@ import numpy as np
 from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import AddressMapping
 from ..dram.timing import DRAMOrganization
+from .draws import pcg64_draws
 from .memo import memoized_in_pass
 from .spec import RNGBenchmarkSpec
 
@@ -39,6 +40,10 @@ def generate_rng_trace(
     Inside a sweep pass (see :mod:`repro.workloads.memo`) a repeated call
     returns the trace the pass already generated for the same arguments;
     the caller must treat it as read-only.
+
+    The trace's content depends only on PCG64's raw output stream (drawn
+    through :func:`~repro.workloads.draws.pcg64_draws`), which NEP 19
+    keeps stable across numpy versions.
     """
     if num_instructions <= 0:
         raise ValueError("num_instructions must be positive")
@@ -47,13 +52,20 @@ def generate_rng_trace(
     rng = np.random.default_rng(seed)
 
     burst = spec.burst_length
+    bits = spec.bits_per_request
     gap = spec.instructions_between_requests * burst
     reads_per_gap = spec.mpki * gap / 1000.0
 
     entries: list[TraceEntry] = []
     instructions = 0
     read_accumulator = 0.0
+    channels = organization.channels
+    banks = organization.banks_per_rank
+    columns = organization.columns_per_row
     max_row = organization.rows_per_bank
+    integers, _ = pcg64_draws(rng)
+    encode = mapping.encode
+    append = entries.append
 
     while instructions < num_instructions:
         # Compute phase between two bursts, with occasional regular reads
@@ -66,21 +78,22 @@ def generate_rng_trace(
         if reads_this_gap > 0:
             per_read_gap = max(0, remaining // (reads_this_gap + 1) - 1)
             for _ in range(reads_this_gap):
-                address = mapping.encode(
-                    channel=int(rng.integers(organization.channels)),
-                    bank=int(rng.integers(organization.banks_per_rank)),
-                    row=(row_offset + int(rng.integers(64))) % max_row,
-                    column=int(rng.integers(organization.columns_per_row)),
+                # Drawn in this order: channel, bank, row, column.
+                address = encode(
+                    integers(channels),
+                    integers(banks),
+                    (row_offset + integers(64)) % max_row,
+                    integers(columns),
                 )
-                entries.append(TraceEntry(bubbles=per_read_gap, address=address))
+                append(TraceEntry(bubbles=per_read_gap, address=address))
                 instructions += per_read_gap + 1
                 remaining -= per_read_gap + 1
 
         bubbles = max(0, remaining - burst)
-        entries.append(TraceEntry(bubbles=bubbles, rng_bits=spec.bits_per_request))
+        append(TraceEntry(bubbles=bubbles, rng_bits=bits))
         instructions += bubbles + 1
         for _ in range(burst - 1):
-            entries.append(TraceEntry(bubbles=0, rng_bits=spec.bits_per_request))
+            append(TraceEntry(bubbles=0, rng_bits=bits))
             instructions += 1
 
     return Trace(

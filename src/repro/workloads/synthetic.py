@@ -20,6 +20,7 @@ import numpy as np
 from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import AddressMapping
 from ..dram.timing import DRAMOrganization
+from .draws import pcg64_draws
 from .memo import memoized_in_pass
 from .spec import ApplicationSpec
 
@@ -52,6 +53,13 @@ def generate_application_trace(
     Inside a sweep pass (see :mod:`repro.workloads.memo`) a repeated call
     returns the trace the pass already generated for the same arguments;
     the caller must treat it as read-only.
+
+    The trace's content depends on two numpy streams.  Every uniform
+    draw comes from PCG64's raw output (through
+    :func:`~repro.workloads.draws.pcg64_draws`), which NEP 19 keeps
+    stable across numpy versions.  The miss gaps come from
+    ``Generator.geometric``, whose stream numpy may change between
+    versions.
     """
     if num_instructions <= 0:
         raise ValueError("num_instructions must be positive")
@@ -79,50 +87,58 @@ def generate_application_trace(
     # predictors and the random number buffer are designed around.
     phase_factors = (0.4, 1.0, 2.5)
     phase_length = max(500, num_instructions // 12)
-    phase_factor = phase_factors[int(rng.integers(len(phase_factors)))]
+    integers, random = pcg64_draws(rng)
+    phase_factor = phase_factors[integers(len(phase_factors))]
     next_phase_change = phase_length
 
     # Address-generation state: current channel/bank/row/column.
-    channel = int(rng.integers(organization.channels))
-    bank = int(rng.integers(organization.banks_per_rank))
-    row = row_offset % organization.rows_per_bank
+    channels = organization.channels
+    banks = organization.banks_per_rank
+    columns = organization.columns_per_row
+    max_row = organization.rows_per_bank
+    channel = integers(channels)
+    bank = integers(banks)
+    row = row_offset % max_row
     column = 0
 
-    max_row = organization.rows_per_bank
+    footprint_rows = spec.footprint_rows
+    row_locality = spec.row_locality
+    write_fraction = spec.write_fraction
+    geometric = rng.geometric
+    encode = mapping.encode
+    append = entries.append
 
     while instructions < num_instructions:
         if instructions >= next_phase_change:
-            phase_factor = phase_factors[int(rng.integers(len(phase_factors)))]
+            phase_factor = phase_factors[integers(len(phase_factors))]
             next_phase_change = instructions + phase_length
         effective_gap = mean_gap * phase_factor
         if effective_gap > 0:
-            bubbles = int(rng.geometric(1.0 / (effective_gap + 1.0)) - 1)
+            bubbles = int(geometric(1.0 / (effective_gap + 1.0)) - 1)
         else:
             bubbles = 0
 
         # Next miss address: stay in the open row with probability
         # ``row_locality``, otherwise jump to a random row/bank/channel.
-        if rng.random() < spec.row_locality:
-            column = (column + 1) % organization.columns_per_row
+        if random() < row_locality:
+            column = (column + 1) % columns
         else:
-            channel = int(rng.integers(organization.channels))
-            bank = int(rng.integers(organization.banks_per_rank))
-            row = (row_offset + int(rng.integers(spec.footprint_rows))) % max_row
-            column = int(rng.integers(organization.columns_per_row))
-        address = mapping.encode(channel=channel, bank=bank, row=row, column=column)
+            channel = integers(channels)
+            bank = integers(banks)
+            row = (row_offset + integers(footprint_rows)) % max_row
+            column = integers(columns)
+        address = encode(channel, bank, row, column)
 
         write_address = None
-        if rng.random() < spec.write_fraction:
-            # Dirty eviction of another block in the application footprint.
-            evict_row = (row_offset + int(rng.integers(spec.footprint_rows))) % max_row
-            write_address = mapping.encode(
-                channel=int(rng.integers(organization.channels)),
-                bank=int(rng.integers(organization.banks_per_rank)),
-                row=evict_row,
-                column=int(rng.integers(organization.columns_per_row)),
+        if random() < write_fraction:
+            # Dirty eviction of another block in the application footprint
+            # (drawn in this order: row, channel, bank, column).
+            evict_row = (row_offset + integers(footprint_rows)) % max_row
+            write_address = encode(
+                integers(channels), integers(banks), evict_row, integers(columns)
             )
 
-        entries.append(TraceEntry(bubbles=bubbles, address=address, write_address=write_address))
+        append(TraceEntry(bubbles=bubbles, address=address, write_address=write_address))
         instructions += bubbles + 1
 
     return Trace(

@@ -12,7 +12,6 @@ tracing on, off or absent never changes a single result bit.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time

@@ -5,6 +5,8 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -38,6 +40,7 @@ from repro.orchestration import (
 )
 from repro.orchestration import sweep as sweep_module
 from repro.orchestration.cache import CheckpointStore
+from repro.orchestration.keys import SCHEMA_VERSION, config_fingerprint
 from repro.sim import runner as sim_runner
 from repro.sim.config import baseline_config, drstrange_config
 from repro.sim.runner import AloneRunCache
@@ -116,6 +119,33 @@ class TestPointKeys:
                 alone = config.alone_run_config()
                 assert tuple(point_key([trace], alone) for trace in traces) == self.GOLDEN_ALONE
 
+    #: sha256 of the sorted keys of the 369 points an 18-figure probe reads
+    #: at 2,000 instructions: it pins every config fingerprint and every
+    #: trace the figures use, where the goldens above pin one mix.
+    GOLDEN_FIGURE_KEYS = "ea121b7ccc31057ebdc7425b7827f49b403f3d8ad3268283b850cee0c2b94dca"
+
+    def test_golden_figure_keys(self):
+        from repro.experiments import EXPERIMENTS
+
+        _, probed = probe(tuple(EXPERIMENTS), InMemoryResultStore(), instructions=2_000)
+        keys = sorted(probed.points)
+        assert len(keys) == 369
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.GOLDEN_FIGURE_KEYS
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            baseline_config(),
+            drstrange_config(),
+            drstrange_config(engine="tick", trng_name="parametric", trng_throughput_mbps=640.0),
+        ],
+        ids=["baseline", "drstrange", "tick-parametric"],
+    )
+    def test_config_fingerprint_is_asdict_without_engine(self, config):
+        expected = dataclasses.asdict(config)
+        del expected["engine"]
+        assert config_fingerprint(config) == expected
+
 
 class TestResultCache:
     @pytest.fixture(scope="class")
@@ -128,6 +158,28 @@ class TestResultCache:
         _, _, result = simulated
         restored = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert restored == result
+
+    def test_entry_bytes_match_the_asdict_encoding(self, tmp_path, simulated):
+        """``put`` writes the bytes of ``json.dump`` over the
+        ``dataclasses.asdict`` encoding of the result, byte for byte."""
+        trace, config, result = simulated
+        key = point_key([trace], config)
+        cache = ResultCache(tmp_path)
+        for figure, run in ((None, None), ("fig6", "run-1")):
+            cache.run_context = run
+            cache.put(key, result, figure=figure)
+            payload = {
+                "schema": SCHEMA_VERSION, "key": key, "result": dataclasses.asdict(result)
+            }
+            if figure is not None:
+                payload["figure"] = figure
+            if run is not None:
+                payload["run"] = run
+            expected = io.StringIO()
+            json.dump(payload, expected)
+            written = (tmp_path / key[:2] / f"{key}.json").read_bytes()
+            assert written == expected.getvalue().encode()
+            assert result_to_dict(result) == payload["result"]
 
     def test_disk_round_trip(self, tmp_path, simulated):
         trace, config, result = simulated

@@ -16,6 +16,7 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -758,9 +759,9 @@ class TestServiceStore:
         if entry == "non-object":
             text = "[1, 2]"
         else:
-            text = json.dumps(dict(json.loads(warm._path(key).read_text()), schema=-1))
+            text = json.dumps(dict(json.loads(Path(warm._path(key)).read_text()), schema=-1))
         store = ResultCache(tmp_path / "service")
-        path = store._path(key)
+        path = Path(store._path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         svc = SweepService(store, **FAST)
@@ -773,6 +774,35 @@ class TestServiceStore:
                 assert status.state == "done"
                 assert status.executed == status.points
                 assert dumps(client.results(status.job_id)) == dumps(serial.data)
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+
+    def test_status_cache_line_counts_points(self, tmp_path):
+        """``status`` reports the points the jobs reused and simulated,
+        not store lookups (a cold point is looked up by its job's probe
+        and again under the lock; a replay reads a point once per figure
+        that uses it)."""
+        from repro.telemetry.status import format_status
+
+        svc = SweepService(ResultCache(tmp_path), **FAST)
+        address = svc.start()
+        worker = None
+        try:
+            worker = start_worker_thread(address, "status-points")
+            with SweepClient(address) as client:
+                cold = client.wait(
+                    client.submit(SweepRequest(("fig5", "fig6", "fig13"), instructions=2_000)),
+                    timeout=120,
+                )
+                warm = client.wait(
+                    client.submit(SweepRequest(("fig6",), instructions=2_000)), timeout=30
+                )
+            assert (cold.points, cold.executed, warm.points, warm.reused) == (43, 43, 25, 25)
+            payload = svc.status_payload()
+            assert payload["cache"] == {"hits": 25, "misses": 43}
+            assert "25 points reused / 43 simulated (hit rate 37%)" in format_status(payload)
         finally:
             svc.stop()
             if worker is not None:

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import logging
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -323,7 +324,7 @@ class TestResultCacheStats:
         # exact result (the label is reporting-only metadata).
         fresh = ResultCache(tmp_path)
         assert fresh.get(key) == result
-        payload = json.loads(cache._path(key).read_text(encoding="utf-8"))
+        payload = json.loads(Path(cache._path(key)).read_text(encoding="utf-8"))
         assert payload["figure"] == "fig6"
         assert payload["key"] == key
 

@@ -1,5 +1,6 @@
 """Tests for workload specifications, suites, generators and mixes."""
 
+import numpy as np
 import pytest
 
 from repro.dram.address import AddressMapping
@@ -23,6 +24,7 @@ from repro.workloads import (
     representative_subset,
     standard_rng_benchmark,
 )
+from repro.workloads.draws import pcg64_draws
 
 
 class TestApplicationSpec:
@@ -155,6 +157,55 @@ class TestRNGTraces:
         high = generate_rng_trace(RNGBenchmarkSpec("h", throughput_mbps=5120.0), 100_000, seed=0)
         low = generate_rng_trace(RNGBenchmarkSpec("l", throughput_mbps=640.0), 100_000, seed=0)
         assert low.rng_requests < high.rng_requests
+
+
+class TestPCG64Draws:
+    """The trace generators' draws are numpy's own numbers, in numpy's order."""
+
+    BOUNDS = (1, 2, 3, 7, 128, 65536, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32)
+    GEOMETRIC_P = (0.9, 0.5, 1 / 3, 0.2, 0.01, 1e-4)
+
+    def test_matches_numpy_generator(self):
+        """Random call sequences mixing ``integers`` at every bound (the
+        ``2**31 + 1`` bound rejects about half its words), ``random`` and
+        numpy's own ``geometric`` on one generator."""
+        script = np.random.default_rng(2024)
+        for seed in range(200):
+            reference = np.random.default_rng(seed)
+            drawn = np.random.default_rng(seed)
+            integers, random = pcg64_draws(drawn)
+            for _ in range(500):
+                kind = script.integers(3)
+                if kind == 0:
+                    high = self.BOUNDS[script.integers(len(self.BOUNDS))]
+                    value = integers(high)
+                    assert type(value) is int and value == reference.integers(high), (seed, high)
+                elif kind == 1:
+                    assert random() == reference.random(), seed
+                else:
+                    p = self.GEOMETRIC_P[script.integers(len(self.GEOMETRIC_P))]
+                    assert drawn.geometric(p) == reference.geometric(p), (seed, p)
+            # Both consumed the same 64-bit outputs.
+            assert drawn.bit_generator.random_raw() == reference.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("high", [0, -1, 2**32 + 1])
+    def test_rejects_bounds_outside_its_range(self, high):
+        integers, _ = pcg64_draws(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            integers(high)
+        if high <= 0:
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).integers(high)
+
+    def test_takes_numpy_integers_and_rejects_what_it_cannot_reproduce(self):
+        integers, _ = pcg64_draws(np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        for high in (np.int64(1), np.int64(7), np.uint32(2**31 + 1)):
+            assert integers(high) == reference.integers(high)
+        with pytest.raises(TypeError):
+            integers(3.0)
+        with pytest.raises(TypeError):
+            pcg64_draws(np.random.Generator(np.random.MT19937(0)))
 
 
 class TestWorkloadMixes:
