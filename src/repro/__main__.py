@@ -122,7 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "disable metrics collection and manifest writing for this run "
-            "(results are bit-identical either way; telemetry is observe-only)"
+            "(results are bit-identical either way; telemetry is observe-only). "
+            "Without a manifest the run does not show on `repro cache`'s "
+            "last-run line"
         ),
     )
     parser.add_argument(
@@ -299,15 +301,18 @@ def _cache_main(argv: list[str]) -> int:
     for figure in sorted(breakdown):
         bucket = breakdown[figure]
         print(f"    {figure:<16} {bucket['entries']:>6} entries, {bucket['total_bytes']} bytes")
-    last = store.last_run()
-    if last is None:
+    from .telemetry.manifest import list_manifests
+
+    manifests = list_manifests(store.cache_dir)
+    if not manifests:
         print("  last run:    (none recorded)")
-    else:
-        hits, misses = last.get("hits", 0), last.get("misses", 0)
-        line = f"  last run:    {hits} hits, {misses} misses"
-        if "executed" in last:
-            line += f"; {last.get('planned', 0)} points planned, {last['executed']} executed"
-        print(line)
+        return 0
+    last = manifests[-1]
+    cache, run = last.get("cache") or {}, last.get("stats") or {}
+    print(
+        f"  last run:    {cache.get('hits', 0)} hits, {cache.get('misses', 0)} misses; "
+        f"{run.get('planned', 0)} points planned, {run.get('executed', 0)} executed"
+    )
     return 0
 
 
@@ -480,7 +485,7 @@ def _watch_main(argv: list[str]) -> int:
         description=(
             "Stream a running sweep service's structured "
             "events live: leases granted and expired, points committed and "
-            "requeued, jobs changing state, tenants blacklisted and cleared. "
+            "requeued, jobs changing state. "
             "Pushed over the watch protocol — no polling."
         ),
     )
@@ -813,8 +818,8 @@ def _serve_main(argv: list[str]) -> int:
         description=(
             "Run the persistent sweep service: clients submit experiment "
             "requests (`repro submit`), one shared worker fleet simulates "
-            "them, and a BLISS-style fair scheduler keeps heavy batch jobs "
-            "from starving interactive ones."
+            "them, and points are leased round-robin across the running "
+            "jobs, so a large sweep cannot starve a small one."
         ),
     )
     parser.add_argument(
@@ -851,26 +856,11 @@ def _serve_main(argv: list[str]) -> int:
         action="store_true",
         help="keep results in memory only (no disk persistence, no manifests)",
     )
-    parser.add_argument(
-        "--quantum",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fairness: consecutive leases before a job is blacklisted (default: 4)",
-    )
-    parser.add_argument(
-        "--clearing-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fairness: seconds between blacklist clearings (default: 5)",
-    )
     _add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     telemetry_logs.configure(verbose=args.verbose, quiet=args.quiet)
 
     from .distributed import parse_address, spawn_local_worker
-    from .distributed.fairness import DEFAULT_CLEARING_INTERVAL, DEFAULT_SERVICE_QUANTUM
     from .distributed.service import SweepService
     from .orchestration import InMemoryResultStore
 
@@ -884,19 +874,7 @@ def _serve_main(argv: list[str]) -> int:
         return 2
 
     store = InMemoryResultStore() if args.no_cache else open_store(args.cache_dir)
-    try:
-        service = SweepService(
-            store,
-            host,
-            port,
-            service_quantum=args.quantum if args.quantum is not None
-            else DEFAULT_SERVICE_QUANTUM,
-            clearing_interval=args.clearing_interval if args.clearing_interval is not None
-            else DEFAULT_CLEARING_INTERVAL,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    service = SweepService(store, host, port)
     try:
         bound_host, bound_port = service.start()
     except OSError as exc:
@@ -1003,15 +981,6 @@ def _submit_main(argv: list[str]) -> int:
         "--engine", choices=ENGINES, default=None, help="simulation engine for this job"
     )
     parser.add_argument(
-        "--priority",
-        choices=("interactive", "batch"),
-        default="interactive",
-        help=(
-            "scheduling class: 'interactive' jobs are favoured, 'batch' jobs "
-            "yield under contention (default: interactive)"
-        ),
-    )
-    parser.add_argument(
         "--tag",
         action="append",
         default=None,
@@ -1047,7 +1016,6 @@ def _submit_main(argv: list[str]) -> int:
             instructions=args.instructions,
             full=args.full,
             engine=args.engine,
-            priority=args.priority,
             tags=tuple(args.tags or ()),
         )
     except (TypeError, ValueError) as exc:
@@ -1103,7 +1071,7 @@ def _jobs_main(argv: list[str]) -> int:
     for status in statuses:
         label = ",".join(status.experiments) or "?"
         print(
-            f"{status.job_id:<10} {status.state:<10} {status.priority:<11} "
+            f"{status.job_id:<10} {status.state:<10} "
             f"{status.completed}/{status.points} points, executed {status.executed}, "
             f"reused {status.reused}  [{label}]  tenant {status.tenant}"
         )
@@ -1250,42 +1218,34 @@ def main(argv: list[str] | None = None) -> int:
     # so the output stays pipeable into jq & co.
     _print_job_results(results, stats, sweep_mode=sweep_mode, json_out=args.json)
 
-    if isinstance(store, ResultCache):
-        # Best-effort bookkeeping for `repro cache`: a read-only or full
-        # cache directory must never cost the user the run's output.
+    if isinstance(store, ResultCache) and not args.no_telemetry:
+        # One run manifest per sweep, next to the cache; `repro cache`
+        # reports the newest one.  Best-effort: a read-only or full cache
+        # directory must never cost the user the run's output.
+        from .telemetry.manifest import write_manifest
+
         try:
-            store.record_last_run(
-                {"planned": stats.planned, "executed": stats.executed, "reused": stats.reused}
+            write_manifest(
+                store.cache_dir,
+                experiments=keys,
+                started_at=started_at,
+                argv=argv,
+                kwargs=request.run_kwargs(),
+                executor=stats.executor,
+                jobs=stats.jobs,
+                engine=args.engine,
+                stats={
+                    "planned": stats.planned,
+                    "executed": stats.executed,
+                    "reused": stats.reused,
+                    "elapsed_seconds": stats.elapsed,
+                },
+                cache=store.stats(),
+                run_id=stats.run_id,
+                points=stats.points,
             )
         except OSError:
             pass
-        if not args.no_telemetry:
-            # One run manifest per sweep, next to the cache (same
-            # best-effort contract as record_last_run).
-            from .telemetry.manifest import write_manifest
-
-            try:
-                write_manifest(
-                    store.cache_dir,
-                    experiments=keys,
-                    started_at=started_at,
-                    argv=argv,
-                    kwargs=request.run_kwargs(),
-                    executor=stats.executor,
-                    jobs=stats.jobs,
-                    engine=args.engine,
-                    stats={
-                        "planned": stats.planned,
-                        "executed": stats.executed,
-                        "reused": stats.reused,
-                        "elapsed_seconds": stats.elapsed,
-                    },
-                    cache=store.stats(),
-                    run_id=stats.run_id,
-                    points=stats.points,
-                )
-            except OSError:
-                pass
     return 0
 
 

@@ -27,7 +27,6 @@ Design-specific behaviour is injected rather than subclassed:
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -70,10 +69,6 @@ class ControllerStats:
     def total_cycles(self) -> int:
         return self.idle_cycles + self.busy_cycles + self.rng_mode_cycles
 
-    @property
-    def served_regular(self) -> int:
-        return self.served_reads + self.served_writes
-
 
 @dataclass
 class _RNGOperation:
@@ -107,9 +102,6 @@ class BaselineQueuePolicy:
         if controller.rng_queue is not None and len(controller.rng_queue) > 0:
             return controller.rng_queue, controller.rng_queue.oldest()
         return None
-
-    def notify_rng_application(self, core_id: int) -> None:
-        """The baseline does not distinguish RNG applications."""
 
     def reset(self) -> None:
         """No internal state."""
@@ -184,10 +176,10 @@ class ChannelController:
         self.last_accessed_address = 0
         self._rng_op: Optional[_RNGOperation] = None
         self._inflight: List[Tuple[int, int, Request]] = []
-        self._inflight_counter = itertools.count()
+        #: Tie-break of equal-cycle completions in ``_inflight`` (FIFO).
+        self._inflight_seq = 0
         self._write_draining = False
         self._idle_period_listeners: List[Callable[[int, int, int], None]] = []
-        self._arrival_listeners: List[Callable[[int, Request], None]] = []
 
         # Cycle-skipping state (see next_event_cycle / skip_cycles).  The
         # event-bound cache holds the last quiet bound: every constituent
@@ -214,10 +206,6 @@ class ChannelController:
     def channel_id(self) -> int:
         return self.channel.channel_id
 
-    @property
-    def in_rng_mode(self) -> bool:
-        return self.mode is ExecutionMode.RNG
-
     def decode(self, request: Request):
         """Return (and cache) the decoded DRAM coordinates of a request."""
         if request.decoded is None:
@@ -227,10 +215,6 @@ class ChannelController:
     def read_queue_occupancy(self) -> int:
         """Number of pending regular read requests."""
         return len(self.read_queue)
-
-    def has_pending_regular_work(self) -> bool:
-        """Whether any regular (non-RNG) request is queued or in flight."""
-        return bool(self.read_queue) or bool(self.write_queue) or bool(self._inflight)
 
     def is_idle(self, now: int) -> bool:
         """Idle: no regular work queued/in flight and the data bus is free."""
@@ -252,16 +236,12 @@ class ChannelController:
         """
         self._idle_period_listeners.append(listener)
 
-    def add_arrival_listener(self, listener: Callable[[int, Request], None]) -> None:
-        """Register ``listener(channel_id, request)`` for request arrivals."""
-        self._arrival_listeners.append(listener)
-
     # ------------------------------------------------------------------ enqueue
 
     def enqueue(self, request: Request) -> bool:
         """Add a request to the appropriate queue; ``False`` if it is full."""
         # Arriving work ends any deferred quiet segment (the idle streak
-        # and predictor bookkeeping must be current before the arrival
+        # and predictor bookkeeping must be current before the idle-period
         # listeners observe them) and invalidates the cached event bound.
         # Requests arrive after this cycle's controller phase, whose quiet
         # slot was already granted, so the segment closes *through* the
@@ -289,9 +269,6 @@ class ChannelController:
             if self.idle_streak > 0:
                 self._end_idle_period(request)
             self.last_accessed_address = request.address
-        if self._arrival_listeners:
-            for listener in self._arrival_listeners:
-                listener(self.channel_id, request)
         return True
 
     def _end_idle_period(self, request: Request) -> None:
@@ -568,7 +545,6 @@ class ChannelController:
         channel = self.channel
         lookahead = self._issue_lookahead
         backend_latency = self._backend_latency
-        inflight_counter = self._inflight_counter
         stats = self.stats
         scheduler = self.scheduler
         # Per-serve call targets resolved once per window: the scheduler's
@@ -642,9 +618,9 @@ class ChannelController:
                     notify_served(request, t)
                     stats.served_reads += 1
                     completion = finish + backend_latency
-                    heappush(
-                        inflight, (completion, next(inflight_counter), request)
-                    )
+                    seq = self._inflight_seq
+                    self._inflight_seq = seq + 1
+                    heappush(inflight, (completion, seq, request))
                     slot = request.window_slot
                     if slot is not None:
                         slot.ready_at = completion
@@ -925,7 +901,9 @@ class ChannelController:
         else:
             self.stats.served_reads += 1
             completion = finish + self._backend_latency
-            heapq.heappush(self._inflight, (completion, next(self._inflight_counter), request))
+            seq = self._inflight_seq
+            self._inflight_seq = seq + 1
+            heapq.heappush(self._inflight, (completion, seq, request))
             # Publish the completion cycle on the core's window slot so
             # the batched-serve pre-flight can bound windows by waking
             # completions without scanning the in-flight heap.

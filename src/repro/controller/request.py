@@ -18,7 +18,15 @@ class RequestType(Enum):
     RNG = "rng"
 
 
+#: Numbers hand-built requests (tests, ``make_read`` & co).  A
+#: :class:`~repro.sim.system.System` numbers the requests it simulates
+#: with its own counter, so no kernel state refers to this one.
 _request_ids = itertools.count()
+
+
+def next_request_id() -> int:
+    """A fresh id for a hand-built request."""
+    return next(_request_ids)
 
 
 @dataclass(slots=True, eq=False)
@@ -31,7 +39,7 @@ class Request:
     split into one ``RNG`` request per channel by the RNG subsystem.
 
     Requests compare by *identity* (``eq=False``): every live request is
-    a distinct object (``request_id`` is globally unique), and identity
+    a distinct object (``request_id`` is unique within a system), and identity
     keeps the queues' membership scans (``list.index``/``in``) on the
     C fast path instead of field-by-field dataclass comparison.
     """
@@ -44,7 +52,7 @@ class Request:
     priority: int = 0
     callback: Optional[Callable[["Request"], None]] = None
     decoded: Optional[DecodedAddress] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=next_request_id)
     # Book-keeping filled in by the controller.
     issue_cycle: Optional[int] = None
     completion_cycle: Optional[int] = None
@@ -75,12 +83,13 @@ class Request:
         callback: Optional[Callable[["Request"], None]],
         decoded: Optional[DecodedAddress],
         window_slot: Optional[object],
+        request_id: int,
     ) -> "Request":
         """Re-initialise a recycled request from its per-core arena.
 
         ``core_id``, ``priority`` and ``pool`` are per-core constants and
-        keep their values.  A *fresh* ``request_id`` is drawn from the
-        same global counter a new allocation would use, so schedulers
+        keep their values.  The caller passes a *fresh* ``request_id``
+        from the same counter a new allocation would use, so schedulers
         that tie-break on the id (BLISS) observe the exact sequence a
         non-recycling run produces.
         """
@@ -90,7 +99,7 @@ class Request:
         self.callback = callback
         self.decoded = decoded
         self.window_slot = window_slot
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
         self.issue_cycle = None
         self.completion_cycle = None
         return self

@@ -73,10 +73,6 @@ class RNGSchedulerStats:
     priority_inversions_prevented: int = 0
     starvation_interventions: int = 0
 
-    @property
-    def total_choices(self) -> int:
-        return self.rng_queue_choices + self.regular_queue_choices
-
 
 class RNGAwareQueuePolicy:
     """Per-channel queue-selection policy implementing the RNG-aware rules."""
@@ -227,10 +223,6 @@ class RNGAwareQueuePolicy:
             self._deprioritized_since = now
 
     # -- bookkeeping hooks --------------------------------------------------------
-
-    def notify_rng_application(self, core_id: int) -> None:
-        """Mark ``core_id`` as an RNG application (first RNG request seen)."""
-        self.registry.mark_rng_application(core_id)
 
     def reset(self) -> None:
         self._deprioritized = None

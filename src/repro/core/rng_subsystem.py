@@ -20,13 +20,12 @@ serves and retries enqueues that bounce off full queues.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..controller.memory_controller import ChannelController
-from ..controller.request import Request, RequestType
+from ..controller.request import Request, RequestType, next_request_id
 from .rng_buffer import RandomNumberBuffer
 from .rng_scheduler import ApplicationRegistry
 
@@ -44,10 +43,6 @@ class RNGSubsystemStats:
     @property
     def buffer_serve_rate(self) -> float:
         return self.buffer_serves / self.requests if self.requests else 0.0
-
-    @property
-    def average_latency(self) -> float:
-        return self.latency_sum / self.requests if self.requests else 0.0
 
 
 class _PendingGeneration:
@@ -118,6 +113,7 @@ class RNGSubsystem:
         registry: ApplicationRegistry,
         buffer: Optional[RandomNumberBuffer] = None,
         buffer_serve_latency: int = 2,
+        new_request_id: Callable[[], int] = next_request_id,
     ) -> None:
         if not controllers:
             raise ValueError("the RNG subsystem needs at least one channel controller")
@@ -127,11 +123,15 @@ class RNGSubsystem:
         self.registry = registry
         self.buffer = buffer
         self.buffer_serve_latency = buffer_serve_latency
+        #: Source of RNG request ids: the owning system's counter, so
+        #: RNG shares and core requests are numbered in creation order.
+        self.new_request_id = new_request_id
         self.stats = RNGSubsystemStats()
 
         self.now = 0
         self._deferred: List[tuple[int, int, Callable[[int], None]]] = []
-        self._deferred_counter = itertools.count()
+        #: Tie-break of equal-cycle deferred completions (FIFO).
+        self._deferred_seq = 0
         self._retry_queue: List[tuple[ChannelController, Request]] = []
 
     # -- time ----------------------------------------------------------------------
@@ -150,7 +150,9 @@ class RNGSubsystem:
             self._retry_queue = remaining
 
     def _defer(self, cycle: int, callback: Callable[[int], None]) -> None:
-        heapq.heappush(self._deferred, (cycle, next(self._deferred_counter), callback))
+        seq = self._deferred_seq
+        self._deferred_seq = seq + 1
+        heapq.heappush(self._deferred, (cycle, seq, callback))
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         """Lower bound on the next cycle at which :meth:`tick` changes state.
@@ -211,6 +213,7 @@ class RNGSubsystem:
                 arrival_cycle=self.now,
                 priority=self.registry.priority(core_id),
                 callback=_ShareCompletion(self, pending),
+                request_id=self.new_request_id(),
             )
             if not controller.enqueue(request):
                 self._retry_queue.append((controller, request))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from .core import Core, CoreConfig, CoreStats
+from .core import Core, CoreConfig
 from .trace import Trace
 
 
@@ -99,10 +99,6 @@ class Processor:
         if not self.all_finished:
             return 0
         return max(core.finish_cycle for core in self.cores)
-
-    def core_stats(self) -> List[CoreStats]:
-        """Finish-time statistics of every core."""
-        return [core.result_stats() for core in self.cores]
 
     def rng_cores(self) -> List[Core]:
         """Cores whose traces contain RNG requests."""

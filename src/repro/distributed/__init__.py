@@ -21,14 +21,12 @@ Public surface:
 
 * :class:`~repro.distributed.service.SweepService` — the persistent
   multi-tenant daemon behind ``repro serve``: submit/poll/cancel over
-  the same protocol, BLISS-fair scheduling across jobs, one shared
-  worker fleet, per-job run manifests.
+  the same protocol, leases round-robin across jobs, one shared worker
+  fleet, per-job run manifests.
 * :class:`~repro.distributed.client.SweepClient` — submit → job id →
   poll → results, the programmatic face of ``repro submit``;
   :class:`~repro.distributed.client.WatchClient` streams the service's
   events for ``repro watch``.
-* :class:`~repro.distributed.fairness.TenantScheduler` — the
-  consecutive-service/blacklist/clearing policy object.
 * :func:`~repro.distributed.worker.run_worker` — the worker loop behind
   ``python -m repro worker --target HOST:PORT``, checkpoint streaming
   included; :func:`~repro.distributed.worker.spawn_local_worker` starts
@@ -38,7 +36,6 @@ Public surface:
 """
 
 from .client import JobStatus, ServiceError, SweepClient, WatchClient
-from .fairness import TenantScheduler
 from .protocol import (
     PROTOCOL_VERSION,
     parse_address,
@@ -54,7 +51,6 @@ __all__ = [
     "ServiceError",
     "SweepClient",
     "SweepService",
-    "TenantScheduler",
     "WatchClient",
     "WorkerStats",
     "parse_address",

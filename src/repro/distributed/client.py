@@ -74,7 +74,6 @@ class JobStatus:
     executed: int = 0
     reused: int = 0
     pending: int = 0
-    priority: str = "interactive"
     tenant: Optional[str] = None
     error: Optional[str] = None
     results: Optional[Dict[str, Dict]] = None
@@ -103,7 +102,6 @@ class JobStatus:
             executed=_int("executed"),
             reused=_int("reused"),
             pending=_int("pending"),
-            priority=str(payload.get("priority", "interactive")),
             tenant=payload.get("tenant"),
             error=payload.get("error"),
             results=payload.get("results"),

@@ -42,8 +42,8 @@ observer → service
                    ``seq`` and a status snapshot to seed the view) and
                    then pushes one ``type: "event"`` frame per state
                    transition — point started/committed/requeued, lease
-                   churn, blacklist transitions, job state changes —
-                   until the connection closes or ``unwatch`` is sent.
+                   churn, job state changes — until the connection
+                   closes or ``unwatch`` is sent.
                    An optional ``from_seq`` replays buffered events
                    after that sequence number first.
     ``unwatch``    end the subscription (reply ``type: "unwatched"``);
@@ -89,7 +89,7 @@ from ..sim.results import SimulationResult
 #: Bumped on any incompatible message or payload change; the service
 #: refuses a hello of any other version, from workers, clients and
 #: observers alike.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Hard cap on one serialised message.  Sized for the largest realistic
 #: ``work`` payload (every entry of every trace of a full-roster

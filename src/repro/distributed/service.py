@@ -49,12 +49,11 @@ Jobs on top of the points:
   a point two jobs both need is simulated once and credited to both, and
   a point already in the store (from any past tenant) is never
   re-simulated at all.
-* **Fairness.**  Lease grants are arbitrated by the BLISS-inspired
-  :class:`~repro.distributed.fairness.TenantScheduler`
-  (consecutive-service streaks, blacklisting at the service quantum,
-  periodic clearing), so a 43-app ``--full`` batch job cannot starve an
-  interactive two-figure request — the paper's own DRAM scheduling idea,
-  one level up.
+* **Fairness.**  Leases go round-robin across the running jobs: the
+  next point comes from the job served longest ago, and a job not yet
+  served goes first.  With N running jobs none waits more than N-1
+  leases between grants, so a 43-app ``--full`` sweep cannot starve a
+  two-figure request submitted after it.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from ..sim.runner import engine_override
 from ..telemetry import logs
 from ..telemetry.manifest import write_manifest
 from ..telemetry.trace import TraceJournal, read_journal, traces_dir
-from .fairness import DEFAULT_CLEARING_INTERVAL, DEFAULT_SERVICE_QUANTUM, TenantScheduler
 from .protocol import (
     PROTOCOL_VERSION,
     encode_message,
@@ -203,6 +201,7 @@ class _Job:
     __slots__ = (
         "job_id", "tenant", "request", "state", "error", "queue", "remaining",
         "total", "executed", "reused", "results", "submitted_at", "finished_at",
+        "last_served",
     )
 
     def __init__(self, job_id: str, tenant: str, request: SweepRequest) -> None:
@@ -225,6 +224,9 @@ class _Job:
         self.results: Optional[Dict[str, Dict]] = None
         self.submitted_at = time.time()
         self.finished_at: Optional[float] = None
+        #: Number of the service's last lease granted for this job (0:
+        #: never served), the round-robin order of ``_next_point_locked``.
+        self.last_served = 0
 
     def payload(self, include_results: bool = False) -> Dict:
         """The ``poll``/``jobs`` reply body for this job."""
@@ -234,7 +236,6 @@ class _Job:
             "job": self.job_id,
             "tenant": self.tenant,
             "state": self.state,
-            "priority": self.request.priority,
             "experiments": list(self.request.experiments),
             "tags": list(self.request.tags),
             "points": self.total,
@@ -272,8 +273,6 @@ class SweepService:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         straggler_timeout: float = DEFAULT_STRAGGLER_TIMEOUT,
         retry_seconds: float = DEFAULT_RETRY_SECONDS,
-        service_quantum: int = DEFAULT_SERVICE_QUANTUM,
-        clearing_interval: float = DEFAULT_CLEARING_INTERVAL,
     ) -> None:
         self._store = store
         self._requested_host = host
@@ -324,11 +323,8 @@ class SweepService:
 
         self._jobs: Dict[str, _Job] = {}
         self._job_seq = 0
-        self._scheduler = TenantScheduler(
-            service_quantum=service_quantum, clearing_interval=clearing_interval
-        )
-        self._scheduler.on_blacklist = self._on_blacklist
-        self._scheduler.on_clear = self._on_cleared
+        #: Leases granted for jobs so far; stamps ``_Job.last_served``.
+        self._lease_seq = 0
         #: Where per-job run manifests land (persistent stores only).
         self._manifest_dir = store.cache_dir if isinstance(store, ResultCache) else None
         #: Durable event journal (persistent stores only).  Replaying it
@@ -414,8 +410,7 @@ class SweepService:
     def status_payload(self) -> Dict:
         """The live ``status`` reply: fleet progress, per-worker liveness,
         per-figure ETA, cache accounting (the points the jobs reused and
-        simulated), merged telemetry, the jobs table and the fairness
-        scheduler's state.
+        simulated), merged telemetry and the jobs table.
 
         ETAs are naive linear extrapolations from the whole-run commit
         rate — honest enough for a progress surface, deliberately not a
@@ -453,7 +448,6 @@ class SweepService:
             failed = self._points_failed
             points = self._points_registered
             jobs = {job_id: job.payload() for job_id, job in self._jobs.items()}
-            scheduler = self._scheduler.snapshot()
         merged = telemetry.merge_snapshots(self._metrics.snapshot(), *worker_snapshots)
         return {
             "type": "status",
@@ -475,7 +469,6 @@ class SweepService:
             "figures": figures,
             "metrics": merged,
             "jobs": jobs,
-            "scheduler": scheduler,
         }
 
     # ------------------------------------------------------------- serving
@@ -753,9 +746,9 @@ class SweepService:
                     if point is None:
                         return {"type": "wait", "seconds": self.retry_seconds}
                     # Attribute the duplicate lease to any live subscriber
-                    # (reporting only); it is *not* a scheduler service —
-                    # duplicating a straggler's tail must not advance
-                    # anyone's streak.
+                    # (reporting only); it is *not* that job's turn —
+                    # duplicating a straggler's tail must not move it in
+                    # the round-robin.
                     job_id = min(point.jobs, default=None)
                 worker = self._peers.get(connection_id, {}).get(
                     "worker", f"conn-{connection_id}"
@@ -994,15 +987,6 @@ class SweepService:
             payload=job.payload(),
         )
 
-    def _on_blacklist(self, job_id: str) -> None:
-        job = self._jobs.get(job_id)
-        self.events.emit(
-            "tenant.blacklist", job=job_id, tenant=job.tenant if job else None
-        )
-
-    def _on_cleared(self, job_ids: List[str]) -> None:
-        self.events.emit("tenant.cleared", jobs=list(job_ids))
-
     def _restore_jobs(self, journal_path) -> None:
         """Rebuild the jobs table from a previous daemon's journal.
 
@@ -1025,7 +1009,6 @@ class SweepService:
             try:
                 request = SweepRequest(
                     experiments=tuple(payload.get("experiments") or ()),
-                    priority=str(payload.get("priority") or "interactive"),
                     tags=tuple(payload.get("tags") or ()),
                 )
                 job = _Job(job_id, str(payload.get("tenant") or "?"), request)
@@ -1078,8 +1061,7 @@ class SweepService:
         self._count("submissions")
         self._emit_job(job)
         self._log.info(
-            "job %s submitted by %s: %s (priority %s)",
-            job.job_id, tenant, ",".join(request.experiments), request.priority,
+            "job %s submitted by %s: %s", job.job_id, tenant, ",".join(request.experiments)
         )
         self._spawn(self._plan_job, job, name=f"plan-{job.job_id}")
         return job.payload()
@@ -1129,7 +1111,6 @@ class SweepService:
             self._count("points_planned", len(job.remaining))
             if job.remaining:
                 job.state = RUNNING
-                self._scheduler.add_job(job.job_id, priority=request.priority)
             elif results is None:
                 # The points the probe missed were all committed since.
                 job.state = FINALIZING
@@ -1148,36 +1129,36 @@ class SweepService:
     # ------------------------------------------------------------- policy
 
     def _next_point_locked(self) -> Tuple[Optional[str], Optional[_Point]]:
-        """Fair pick: ask the scheduler for a job, pop its next live key.
+        """Round-robin pick: pop the next live key of the running job
+        served longest ago.
 
+        Jobs never served come first, in submission order (``min`` keeps
+        the first of equal keys, and ``_jobs`` is in submission order).
         A job whose queue holds only stale entries (shared points another
-        job's lease already took) is drained and excluded, then the
-        scheduler is asked again — so staleness can never eat a quantum.
+        job's lease already took) is drained here and drops out of the
+        next pick, so staleness never costs a job its turn.
         """
-        exhausted: Set[str] = set()
         while True:
-            backlog = {
-                job_id: len(job.queue)
-                for job_id, job in self._jobs.items()
-                if job.state == RUNNING and job.queue and job_id not in exhausted
-            }
-            job_id = self._scheduler.select(backlog)
-            if job_id is None:
+            job = min(
+                (job for job in self._jobs.values() if job.state == RUNNING and job.queue),
+                key=lambda job: job.last_served,
+                default=None,
+            )
+            if job is None:
                 return None, None
-            job = self._jobs[job_id]
-            while job.queue:
-                point = self._points.get(job.queue.popleft())
-                if point is None or not point.queued:
-                    continue
-                point.queued = False
-                self._scheduler.record_service(job_id)
-                return job_id, point
-            exhausted.add(job_id)
+            queue = job.queue
+            while queue:
+                point = self._points.get(queue.popleft())
+                if point is not None and point.queued:
+                    point.queued = False
+                    self._lease_seq += 1
+                    job.last_served = self._lease_seq
+                    return job.job_id, point
 
     def _requeue_locked(self, point: _Point) -> None:
         """List a point whose attempt failed for leasing again.  Lock held."""
-        # Re-list the key with *every* live subscriber so whichever job
-        # the scheduler favours next can carry it.
+        # Re-list the key with *every* live subscriber so whichever of
+        # them has the next turn can carry it.
         for job_id in point.jobs:
             job = self._jobs.get(job_id)
             if job is not None and job.state == RUNNING:
@@ -1199,7 +1180,6 @@ class SweepService:
                 job.reused += 1
             if not job.remaining:
                 job.state = FINALIZING
-                self._scheduler.remove_job(job_id)
                 finalize.append(job)
         # The store answers everything from here on; drop the point (and
         # its traces).
@@ -1232,7 +1212,6 @@ class SweepService:
         job.state = FAILED
         job.error = reason
         job.finished_at = time.time()
-        self._scheduler.remove_job(job.job_id)
         job.queue.clear()
         self._drop_subscriptions_locked(job)
         self._count("jobs_failed")
@@ -1275,7 +1254,6 @@ class SweepService:
                 job.state = CANCELLED
                 job.error = "cancelled by client"
                 job.finished_at = time.time()
-                self._scheduler.remove_job(job_id)
                 job.queue.clear()
                 self._drop_subscriptions_locked(job)
                 self._count("jobs_cancelled")
@@ -1341,7 +1319,6 @@ class SweepService:
             {
                 "job_id": job.job_id,
                 "tenant": job.tenant,
-                "priority": request.priority,
                 "tags": list(request.tags),
             }
         )

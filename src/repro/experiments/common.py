@@ -59,10 +59,3 @@ def average(values: Iterable[float]) -> float:
     """Arithmetic mean of an iterable (0.0 for an empty one)."""
     values = list(values)
     return sum(values) / len(values) if values else 0.0
-
-
-def format_row(label: str, values: Dict[str, float], width: int = 22) -> str:
-    """Format one result row as ``label  key=value  key=value ...``."""
-    cells = "  ".join(f"{key}={value:.3f}" for key, value in values.items())
-    return f"{label:<{width}} {cells}"
-

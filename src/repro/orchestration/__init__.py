@@ -30,7 +30,6 @@ from .executors import Executor, ProcessPoolExecutor, SerialExecutor
 from .keys import SCHEMA_VERSION, point_key
 from .report import canonical_data, dump_json, format_experiment, format_stats, format_sweep
 from .request import (
-    PRIORITIES,
     ExecutionTarget,
     SweepRequest,
     SweepResult,
@@ -57,7 +56,6 @@ __all__ = [
     "ExecutionTarget",
     "Executor",
     "InMemoryResultStore",
-    "PRIORITIES",
     "PersistentAloneRunCache",
     "ProbingBackend",
     "ProcessPoolExecutor",

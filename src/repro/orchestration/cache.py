@@ -84,7 +84,7 @@ def result_from_dict(payload: Dict) -> SimulationResult:
     )
 
 
-def _atomic_write_json(path: str | os.PathLike, payload: Dict, **dump_kwargs) -> int:
+def _atomic_write_json(path: str | os.PathLike, payload: Dict) -> int:
     """Write ``payload`` as JSON via temp file + ``os.replace`` so no
     concurrent reader (or interrupted writer) can observe a torn file.
 
@@ -92,7 +92,7 @@ def _atomic_write_json(path: str | os.PathLike, payload: Dict, **dump_kwargs) ->
     C encoder, where ``json.dump`` on a handle runs the pure-Python one;
     both give the same text.
     """
-    data = json.dumps(payload, **dump_kwargs).encode("utf-8")
+    data = json.dumps(payload).encode("utf-8")
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -240,10 +240,6 @@ class ResultCache:
                     entry.unlink()
                 except OSError:
                     pass
-            try:
-                (self.cache_dir / self.LAST_RUN_FILE).unlink()
-            except OSError:
-                pass
             manifest_dir = self.cache_dir / MANIFEST_DIR
             if manifest_dir.is_dir():
                 for manifest in sorted(manifest_dir.glob("*.json*")):
@@ -253,10 +249,6 @@ class ResultCache:
                         pass
 
     # ------------------------------------------------------------- statistics
-
-    #: Root-level bookkeeping file (outside the ``??/`` fan-out, so it is
-    #: never mistaken for an entry by ``__len__``/``clear``'s globs).
-    LAST_RUN_FILE = "last-run.json"
 
     def stats(self) -> Dict:
         """Store-wide statistics plus this process's hit/miss counters.
@@ -306,23 +298,6 @@ class ResultCache:
             bucket["entries"] += 1
             bucket["total_bytes"] += size
         return breakdown
-
-    def record_last_run(self, extra: Optional[Dict] = None) -> None:
-        """Persist this process's hit/miss counters (plus ``extra`` fields)
-        so ``repro cache`` can report on the most recent run."""
-        payload = {"hits": self.hits, "misses": self.misses}
-        if extra:
-            payload.update(extra)
-        _atomic_write_json(self.cache_dir / self.LAST_RUN_FILE, payload, indent=2, sort_keys=True)
-
-    def last_run(self) -> Optional[Dict]:
-        """Counters recorded by the most recent run, if any."""
-        try:
-            with (self.cache_dir / self.LAST_RUN_FILE).open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
 
 
 # ----------------------------------------------------------------- checkpoints

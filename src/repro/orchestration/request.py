@@ -7,8 +7,7 @@ protocol and run manifests.  Where the points execute is not part of
 it: that is the ``--target`` spec.
 
 * :class:`SweepRequest` — frozen, normalised description of a sweep
-  (which figures, at what scale, on which engine, with what service
-  priority).
+  (which figures, at what scale, on which engine, with what tags).
 * :class:`SweepResult` — the figure-label → data-dict mapping plus the
   request and orchestration stats that produced it.
 * :func:`parse_target` — the one parser for the ``--target`` execution
@@ -23,12 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..sim.config import ENGINES
-
-#: Service priorities, ordered best-first.  ``interactive`` jobs are
-#: favoured by the tenant scheduler; ``batch`` jobs (the 43-app
-#: ``--full`` sweeps) yield under contention.
-PRIORITIES = ("interactive", "batch")
-
 
 def _normalize_experiments(experiments) -> Tuple[str, ...]:
     if isinstance(experiments, str):
@@ -52,15 +45,14 @@ class SweepRequest:
     normalised to a lowercase tuple; ``instructions``/``full`` scale the
     roster exactly like the CLI flags of the same names; ``engine``
     forces every simulation of the sweep onto one engine (results are
-    engine-independent, so this never changes cache keys); ``priority``
-    and ``tags`` only matter to the service scheduler and manifests.
+    engine-independent, so this never changes cache keys); ``tags`` only
+    land in manifests.
     """
 
     experiments: Tuple[str, ...]
     instructions: Optional[int] = None
     full: bool = False
     engine: Optional[str] = None
-    priority: str = "interactive"
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -73,8 +65,6 @@ class SweepRequest:
         object.__setattr__(self, "full", bool(self.full))
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.priority not in PRIORITIES:
-            raise ValueError(f"priority must be one of {PRIORITIES}, got {self.priority!r}")
         object.__setattr__(self, "tags", tuple(str(tag) for tag in self.tags))
 
     def run_kwargs(self) -> Dict:
@@ -100,8 +90,6 @@ class SweepRequest:
             payload["full"] = True
         if self.engine is not None:
             payload["engine"] = self.engine
-        if self.priority != "interactive":
-            payload["priority"] = self.priority
         if self.tags:
             payload["tags"] = list(self.tags)
         return payload
@@ -117,7 +105,6 @@ class SweepRequest:
             instructions=payload.get("instructions"),
             full=bool(payload.get("full", False)),
             engine=payload.get("engine"),
-            priority=payload.get("priority", "interactive"),
             tags=tuple(payload.get("tags", ())),
         )
 

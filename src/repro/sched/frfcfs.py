@@ -120,11 +120,6 @@ class FRFCFSCap(FRFCFS):
         """Associate the DRAM organization (called by the controller)."""
         self._org = organization
 
-    @staticmethod
-    def _row_key(request: Request, controller: "ChannelController") -> Tuple[int, int]:
-        decoded = controller.decode(request)
-        return (decoded.flat_bank, decoded.row)
-
     def reset(self) -> None:
         self._streak_key = None
         self._streak_length = 0

@@ -16,9 +16,8 @@ Format (all stdlib):
   hash, then a zlib-compressed pickle of the container dict;
 * the container holds metadata (cycle, engine, config as a plain dict,
   trace fingerprints, the warmup *prefix key*), the traces in their text
-  wire form, the module-global request-id counter position, and the
-  **kernel**: a pickle of the whole ``System`` object graph in which
-  every :class:`~repro.cpu.trace.Trace`, its compiled
+  wire form, and the **kernel**: a pickle of the whole ``System`` object
+  graph in which every :class:`~repro.cpu.trace.Trace`, its compiled
   :class:`~repro.cpu.trace.TraceColumns` and the four column arrays are
   externalised by reference (``persistent_id``), so trace content is
   stored once and restored cores share the restored traces' arrays
@@ -28,13 +27,10 @@ Format (all stdlib):
   the same digest — the round-trip property the checkpoint tests pin.
   The kernel records no host wall time (``System._elapsed_seconds`` is
   written as ``0.0``), so the same paused state gives the same digest in
-  every process, and a restored run times only its own process.
-
-The request-id counter (:mod:`repro.controller.request`) is process
-global; BLISS tie-breaks compare ids, but only their *relative* order
-within one system matters.  Restoring advances the global counter to at
-least the saved position, so every post-resume id exceeds every
-in-snapshot id — the same ordering an uninterrupted run produces.
+  every process, and a restored run times only its own process.  The
+  kernel holds no process-global state either: request ids and heap
+  tie-breaks are plain ints of the system and its components, so the
+  same point paused twice in one process snapshots to the same bytes.
 
 File-level loading mirrors :meth:`ResultCache.get
 <repro.orchestration.cache.ResultCache.get>` semantics: corrupt or
@@ -53,7 +49,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
-import itertools
 import os
 import pickle
 import struct
@@ -62,14 +57,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
-from ..controller import request as request_module
 from ..cpu.trace import Trace
 from .config import SimulationConfig
 from .system import System
 
 #: Bump whenever the kernel's pickled shape changes incompatibly; stale
 #: snapshots are rejected (and silently missed by :func:`load`).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _MAGIC = b"REPRO-CKPT"
 _HEADER = struct.Struct(">B")
@@ -213,20 +207,6 @@ def _load_kernel(data: bytes, traces: Sequence[Trace]) -> System:
     return _KernelUnpickler(io.BytesIO(data), traces).load()
 
 
-# ------------------------------------------------------------------ request-id counter
-
-
-def _request_counter_value() -> int:
-    # itertools.count reduces to (count, (next_value,)).
-    return request_module._request_ids.__reduce__()[1][0]
-
-
-def _advance_request_counter(value: int) -> None:
-    """Ensure post-resume request ids exceed every id in the snapshot."""
-    if value > _request_counter_value():
-        request_module._request_ids = itertools.count(value)
-
-
 # ------------------------------------------------------------------ snapshot / restore
 
 
@@ -246,7 +226,6 @@ def snapshot(system: System) -> bytes:
             {"name": trace.name, "metadata": dict(trace.metadata), "text": trace.format()}
             for trace in system.traces
         ],
-        "request_counter": _request_counter_value(),
         "kernel": kernel,
     }
     payload = zlib.compress(pickle.dumps(container, protocol=_PICKLE_PROTOCOL), 6)
@@ -330,7 +309,6 @@ def restore(
         raise CheckpointCorruptError(f"checkpoint kernel undecodable: {exc}") from exc
     if not isinstance(system, System):
         raise CheckpointCorruptError("checkpoint kernel is not a System")
-    _advance_request_counter(container["request_counter"])
     if config is not None:
         if prefix_key(restored, config) != container["prefix"]:
             raise CheckpointMismatchError(

@@ -95,11 +95,6 @@ class SimulationResult:
         return [core for core in self.cores if not core.is_rng]
 
     @property
-    def total_memory_cycles(self) -> int:
-        """Channel cycles spent on RNG and non-RNG memory accesses."""
-        return sum(channel.busy_cycles + channel.rng_mode_cycles for channel in self.channels)
-
-    @property
     def all_idle_periods(self) -> List[int]:
         periods: List[int] = []
         for channel in self.channels:

@@ -113,6 +113,7 @@ class System:
             self.registry,
             buffer=self.buffer,
             buffer_serve_latency=cfg.drstrange.buffer_serve_latency,
+            new_request_id=self._new_request_id,
         )
         self.processor = Processor(
             self.traces,
@@ -129,7 +130,11 @@ class System:
         # access), one request free-list arena per core (requests recycle
         # after their terminal completion instead of allocating one
         # object per memory access), and each core's shared read-
-        # completion callback resolved once.
+        # completion callback resolved once.  Request ids number every
+        # request this system creates (reads, writes, RNG shares) in
+        # creation order — BLISS tie-breaks on them — from a plain int,
+        # so a snapshot's bytes depend on this system alone.
+        self._next_request_id = 0
         self._decode_cache: Dict[int, object] = {}
         self._request_pools: List[list] = [[] for _ in self.traces]
         self._read_callbacks = [core._on_read_complete for core in self.processor.cores]
@@ -211,12 +216,18 @@ class System:
 
     # ------------------------------------------------------------------ core callbacks
 
+    def _new_request_id(self) -> int:
+        request_id = self._next_request_id
+        self._next_request_id = request_id + 1
+        return request_id
+
     def _send_read(self, address: int, core_id: int, slot) -> bool:
         cache = self._decode_cache
         decoded = cache.get(address)
         if decoded is None:
             decoded = self.dram.mapping.decode(address)
             cache[address] = decoded
+        request_id = self._new_request_id()
         pool = self._request_pools[core_id]
         if pool:
             request = pool.pop().reuse(
@@ -226,6 +237,7 @@ class System:
                 self._read_callbacks[core_id],
                 decoded,
                 slot,
+                request_id,
             )
         else:
             request = Request(
@@ -236,6 +248,7 @@ class System:
                 priority=self._priorities[core_id],
                 callback=self._read_callbacks[core_id],
                 decoded=decoded,
+                request_id=request_id,
                 window_slot=slot,
                 pool=pool,
             )
@@ -252,10 +265,11 @@ class System:
         if decoded is None:
             decoded = self.dram.mapping.decode(address)
             cache[address] = decoded
+        request_id = self._new_request_id()
         pool = self._request_pools[core_id]
         if pool:
             request = pool.pop().reuse(
-                RequestType.WRITE, address, self.cycle, None, decoded, None
+                RequestType.WRITE, address, self.cycle, None, decoded, None, request_id
             )
         else:
             request = Request(
@@ -265,6 +279,7 @@ class System:
                 arrival_cycle=self.cycle,
                 priority=self._priorities[core_id],
                 decoded=decoded,
+                request_id=request_id,
                 pool=pool,
             )
         if self.controllers[decoded.channel].enqueue(request):

@@ -2,7 +2,7 @@
 
 An **event** is a small JSON-compatible dict describing one state
 transition somewhere in the stack — a point leased, a commit landed, a
-tenant blacklisted, a job finalised.  Every event carries:
+worker connected, a job finalised.  Every event carries:
 
 * ``seq`` — a per-bus monotonically increasing sequence number, stamped
   under the bus lock so observers (journals, watch subscribers) always
@@ -10,7 +10,7 @@ tenant blacklisted, a job finalised.  Every event carries:
 * ``ts`` — wall-clock epoch seconds (observational only; nothing in the
   simulator reads it back),
 * ``kind`` — a dotted transition name (``point.commit``, ``job.state``,
-  ``tenant.blacklist``, …),
+  ``lease.expire``, …),
 * free-form fields naming the causal ids involved (``run``, ``job``,
   ``point``, ``worker``, ``tenant``, ``figure``).
 

@@ -42,7 +42,6 @@ REQUIRED_FIELDS = (
     "figures",
     "metrics",
     "jobs",
-    "scheduler",
 )
 
 
@@ -74,7 +73,7 @@ def validate_status(payload: Dict) -> List[str]:
         value = payload.get(field)
         if field not in problems and not isinstance(value, int):
             problems.append(field)
-    for field in ("workers", "figures", "jobs", "scheduler"):
+    for field in ("workers", "figures", "jobs"):
         if field not in problems and not isinstance(payload.get(field), dict):
             problems.append(field)
     metrics = payload.get("metrics")
@@ -175,22 +174,10 @@ def format_status(payload: Dict, *, now: Optional[float] = None) -> str:
         state = job.get("state", "?")
         label = ",".join(job.get("experiments") or []) or "?"
         lines.append(
-            f"job      {job_id:<10} {state:<10} {job.get('priority', '?'):<11} "
+            f"job      {job_id:<10} {state:<10} "
             f"{job.get('completed', 0)}/{job.get('points', 0)} points, "
             f"reused {job.get('reused', 0)}  [{label}]  "
             f"tenant {job.get('tenant', '?')}"
-        )
-    scheduler = payload.get("scheduler")
-    if isinstance(scheduler, dict):
-        blacklisted = sum(
-            1 for tenant in (scheduler.get("jobs") or {}).values()
-            if isinstance(tenant, dict) and tenant.get("blacklisted")
-        )
-        lines.append(
-            f"fairness quantum {scheduler.get('service_quantum', '?')}, "
-            f"clearing every {scheduler.get('clearing_interval', '?')}s "
-            f"({scheduler.get('clear_events', 0)} clearings, "
-            f"{blacklisted} currently blacklisted)"
         )
 
     counters = (payload.get("metrics") or {}).get("counters") or {}

@@ -92,6 +92,16 @@ class TestFormat:
         system._elapsed_seconds += 1.0
         assert checkpoint.content_digest(checkpoint.snapshot(system)) == first
 
+    def test_same_pause_twice_in_one_process_gives_the_same_bytes(self):
+        """No process-global state reaches the kernel: the first run's
+        requests must not shift the ids (or bytes) of the second."""
+        config = make_config()
+        traces = make_traces(config)
+        first = checkpoint.snapshot(paused_system(config, 1_000, traces))
+        second = checkpoint.snapshot(paused_system(config, 1_000, traces))
+        assert checkpoint.content_digest(second) == checkpoint.content_digest(first)
+        assert second == first
+
     def test_snapshot_carries_kernel_state_only(self):
         # Nothing bulky rides along with the kernel: the 2-core fixture
         # snapshots to a few KiB fresh, mid-run and once its run has

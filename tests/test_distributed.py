@@ -111,12 +111,13 @@ class TestProtocol:
         """Every older peer is refused, in every role.  Protocol 1 work
         frames carried the TRNG entropy seed in their config, which this
         build cannot read; a protocol 2 welcome advertised features this
-        build no longer sends."""
+        build no longer sends; a protocol 3 client sends a job priority
+        and reads a status ``scheduler`` section this build dropped."""
         service = SweepService(InMemoryResultStore())
         address = service.start()
         replies = []
         try:
-            for protocol in (1, 2):
+            for protocol in (1, 2, 3):
                 for role in ("worker", "client", "observer"):
                     with socket.create_connection(address) as connection:
                         stale = dict(hello_message("stale", role=role), protocol=protocol)
@@ -124,7 +125,7 @@ class TestProtocol:
                         replies.append(decode_message(connection.makefile("rb").readline()))
         finally:
             service.stop()
-        assert len(replies) == 6
+        assert len(replies) == 9
         for reply in replies:
             assert reply["type"] == "done"
             assert "protocol mismatch" in reply["error"]

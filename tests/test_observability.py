@@ -469,7 +469,7 @@ class TestServiceJournalReplay:
             after = wire.receive()
             # Identical record: same id, state, tenant, shape.
             for field in ("job", "state", "tenant", "experiments", "points",
-                          "executed", "reused", "priority"):
+                          "executed", "reused"):
                 assert after[field] == before[field], field
             # And the id sequence resumes past the restored job.
             wire.send({"type": "submit", "request": FIG5.to_wire(), "tenant": "bob"})
@@ -595,34 +595,3 @@ class TestEngineProfile:
             sweep_experiments(FIG5, store=InMemoryResultStore())
             counters = telemetry.snapshot()["counters"]
         assert not profile_counters(counters)
-
-
-# ------------------------------------------------------------------- fairness
-
-
-class TestSchedulerObservers:
-    def test_blacklist_and_clear_fire_hooks(self):
-        from tests.test_service import make_scheduler
-
-        scheduler, clock = make_scheduler(service_quantum=2, clearing_interval=5.0)
-        blacklisted, cleared = [], []
-        scheduler.on_blacklist = blacklisted.append
-        scheduler.on_clear = cleared.extend
-        scheduler.add_job("hog", priority="batch")
-        for _ in range(2):
-            scheduler.select({"hog": 10})
-            scheduler.record_service("hog")
-        assert blacklisted == ["hog"]
-        clock.advance(6.0)
-        scheduler.maybe_clear()
-        assert cleared == ["hog"]
-
-    def test_hooks_default_to_none_and_stay_silent(self):
-        from tests.test_service import make_scheduler
-
-        scheduler, clock = make_scheduler(service_quantum=1, clearing_interval=5.0)
-        scheduler.add_job("solo")
-        scheduler.select({"solo": 1})
-        scheduler.record_service("solo")
-        clock.advance(6.0)
-        scheduler.maybe_clear()  # must not raise with hooks unset

@@ -239,13 +239,8 @@ class TestResultCache:
         cache.put(point_key([trace], config), result)
         stats = cache.stats()
         assert stats["entries"] == 1 and stats["total_bytes"] > 0
-        assert cache.last_run() is None
-        cache.record_last_run({"executed": 1, "planned": 1, "reused": 0})
-        recorded = ResultCache(tmp_path).last_run()
-        assert recorded["executed"] == 1 and recorded["hits"] == 0
         cache.clear()
         assert cache.stats()["entries"] == 0
-        assert cache.last_run() is None
 
     def test_config_change_invalidates(self, tmp_path, simulated):
         trace, config, result = simulated
@@ -665,8 +660,6 @@ class TestSweepRequest:
             SweepRequest(experiments=("fig5",), engine="warp")
         with pytest.raises(ValueError):
             SweepRequest(experiments=("fig5",), engine="compiled")
-        with pytest.raises(ValueError):
-            SweepRequest(experiments=("fig5",), priority="urgent")
 
     def test_is_frozen(self):
         from repro.orchestration import SweepRequest
@@ -683,7 +676,6 @@ class TestSweepRequest:
             instructions=2000,
             full=True,
             engine="tick",
-            priority="batch",
             tags=("nightly",),
         )
         assert SweepRequest.from_wire(request.to_wire()) == request

@@ -1,12 +1,10 @@
-"""Tests for the sweep service: fairness policy, job protocol, equivalence.
+"""Tests for the sweep service: job protocol, lease order, equivalence.
 
-Covers the :class:`~repro.distributed.fairness.TenantScheduler` policy
-in isolation (consecutive-service quantum, blacklisting, periodic
-clearing), the service's submit/poll/cancel/jobs protocol including its
-error paths, service-level fairness observed through the ``job`` field
-of work grants — and the acceptance bar: two concurrent clients sharing
-one worker fleet get results byte-identical to serial runs, with
-overlapping points simulated exactly once.
+Covers the service's submit/poll/cancel/jobs protocol including its
+error paths, the round-robin lease order across running jobs observed
+through the ``job`` field of work grants — and the acceptance bar: two
+concurrent clients sharing one worker fleet get results byte-identical
+to serial runs, with overlapping points simulated exactly once.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro import telemetry
 from repro.distributed import (
     SweepClient,
     SweepService,
-    TenantScheduler,
     WatchClient,
 )
 from repro.distributed.protocol import (
@@ -51,119 +48,6 @@ from tests.test_distributed import (
     start_worker_thread,
     wait_until,
 )
-
-
-# ----------------------------------------------------------------- scheduler
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def make_scheduler(**kwargs):
-    clock = FakeClock()
-    scheduler = TenantScheduler(clock=clock, **kwargs)
-    return scheduler, clock
-
-
-class TestTenantScheduler:
-    def test_quantum_blacklists_after_consecutive_service(self):
-        scheduler, _ = make_scheduler(service_quantum=3)
-        scheduler.add_job("batch", priority="batch")
-        scheduler.add_job("late", priority="batch")
-        # Only `batch` has backlog: it is served quantum times in a row
-        # and must be blacklisted on the last grant.
-        for grant in range(3):
-            assert scheduler.select({"batch": 10, "late": 0}) == "batch"
-            scheduler.record_service("batch")
-        snapshot = scheduler.snapshot()["jobs"]["batch"]
-        assert snapshot["blacklisted"]
-        # Once `late` has pending points, the blacklisted job yields even
-        # though both share the batch priority class.
-        assert scheduler.select({"batch": 10, "late": 5}) == "late"
-
-    def test_blacklist_deprioritises_but_never_blocks(self):
-        scheduler, _ = make_scheduler(service_quantum=2)
-        scheduler.add_job("only", priority="batch")
-        # A lone job keeps receiving grants long past its quantum: the
-        # blacklist reorders contenders, it never stalls the fleet.
-        for grant in range(10):
-            assert scheduler.select({"only": 99}) == "only"
-            scheduler.record_service("only")
-        assert scheduler.snapshot()["jobs"]["only"]["blacklisted"]
-
-    def test_interactive_beats_batch_regardless_of_history(self):
-        scheduler, _ = make_scheduler(service_quantum=4)
-        scheduler.add_job("big", priority="batch")
-        scheduler.add_job("ui", priority="interactive")
-        scheduler.record_service("big")
-        # Batch has been running; the moment interactive work is pending
-        # it wins every selection until its backlog drains.  (Its streak
-        # stays under the quantum here — blacklisting outranks priority,
-        # so even an interactive job yields once it monopolises a full
-        # quantum.)
-        picks = []
-        for remaining in (3, 2, 1):
-            picks.append(scheduler.select({"big": 100, "ui": remaining}))
-            scheduler.record_service(picks[-1])
-        assert picks == ["ui"] * 3
-        assert scheduler.select({"big": 100, "ui": 0}) == "big"
-
-    def test_clearing_resets_blacklists_and_streaks(self):
-        scheduler, clock = make_scheduler(service_quantum=2, clearing_interval=5.0)
-        scheduler.add_job("a", priority="batch")
-        scheduler.add_job("b", priority="batch")
-        scheduler.select({"a": 10, "b": 0})  # arms the clearing timer
-        scheduler.record_service("a")
-        scheduler.record_service("a")
-        assert scheduler.snapshot()["jobs"]["a"]["blacklisted"]
-        clock.advance(5.1)
-        scheduler.select({"a": 10, "b": 10})  # triggers maybe_clear
-        snapshot = scheduler.snapshot()
-        assert snapshot["clear_events"] == 1
-        assert not snapshot["jobs"]["a"]["blacklisted"]
-        assert snapshot["jobs"]["a"]["streak"] == 0
-
-    def test_service_resets_competitors_streaks(self):
-        scheduler, _ = make_scheduler(service_quantum=3)
-        scheduler.add_job("a", priority="batch")
-        scheduler.add_job("b", priority="batch")
-        scheduler.record_service("a")
-        scheduler.record_service("a")
-        scheduler.record_service("b")  # interleaved grant: a's streak resets
-        scheduler.record_service("a")
-        jobs = scheduler.snapshot()["jobs"]
-        assert jobs["a"]["streak"] == 1 and not jobs["a"]["blacklisted"]
-
-    def test_lru_round_robin_within_a_priority_class(self):
-        scheduler, _ = make_scheduler()
-        scheduler.add_job("a", priority="batch")
-        scheduler.add_job("b", priority="batch")
-        picks = []
-        for _ in range(4):
-            picks.append(scheduler.select({"a": 5, "b": 5}))
-            scheduler.record_service(picks[-1])
-        assert picks == ["a", "b", "a", "b"]
-
-    def test_remove_and_unknown_jobs_are_ignored(self):
-        scheduler, _ = make_scheduler()
-        scheduler.add_job("a")
-        scheduler.remove_job("a")
-        scheduler.remove_job("ghost")
-        assert scheduler.select({"a": 5, "ghost": 5}) is None
-
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError):
-            TenantScheduler(service_quantum=0)
-        with pytest.raises(ValueError):
-            TenantScheduler(clearing_interval=0.0)
 
 
 # ----------------------------------------------------------------- protocol
@@ -298,7 +182,6 @@ class TestServiceProtocol:
 
         assert validate_status(payload) == []
         assert job_id in payload["jobs"]
-        assert payload["scheduler"]["service_quantum"] == 4
         client.close()
 
 
@@ -306,44 +189,35 @@ class TestServiceProtocol:
 
 
 class TestServiceFairness:
-    def test_interactive_points_preempt_a_running_batch(self):
-        """With a batch sweep in flight, a newly submitted interactive
-        job's points are granted next — before any further batch point —
-        i.e. the interactive job drains well within one clearing interval."""
+    def test_leases_alternate_between_running_jobs(self):
+        """A job submitted while another runs gets the very next lease,
+        and from then on the two alternate until one runs dry."""
         store = InMemoryResultStore()
         # Long lease/straggler windows: the hand-driven worker never
         # heartbeats, and expiry-requeue noise would blur the grant order
         # this test asserts on.
         svc = SweepService(
-            store,
-            service_quantum=2,
-            clearing_interval=60.0,
-            lease_timeout=30.0,
-            straggler_timeout=60.0,
-            retry_seconds=0.05,
+            store, lease_timeout=30.0, straggler_timeout=60.0, retry_seconds=0.05
         )
         address = svc.start()
         try:
-            tenant = FakeClient(address, "batch-tenant")
-            batch_id = tenant.submit(
-                SweepRequest(experiments=("fig6",), instructions=1500, priority="batch")
-            )["job"]
-            tenant.poll_until(batch_id, ("running",))
+            first = FakeClient(address, "fig6-tenant")
+            fig6_id = first.submit(FIG6)["job"]
+            first.poll_until(fig6_id, ("running",))
 
             worker = FakeClient(address, "hand-worker", role="worker")
-            for _ in range(3):  # the batch fleet is already being served
-                grant = worker.lease_work()
-                assert grant["job"] == batch_id
+            for _ in range(3):  # the fig6 job is already being served
+                assert worker.lease_work()["job"] == fig6_id
 
-            ui = FakeClient(address, "ui-tenant")
-            ui_id = ui.submit(FIG5)["job"]  # 6 disjoint points, interactive
-            ui.poll_until(ui_id, ("running",))
+            second = FakeClient(address, "fig5-tenant")
+            fig5_id = second.submit(FIG5)["job"]  # 6 points fig6 does not share
+            second.poll_until(fig5_id, ("running",))
 
-            grants = [worker.lease_work()["job"] for _ in range(6)]
-            assert grants == [ui_id] * 6
-            # Interactive backlog drained; the batch job resumes.
-            assert worker.lease_work()["job"] == batch_id
-            for client in (tenant, ui, worker):
+            grants = [worker.lease_work()["job"] for _ in range(12)]
+            assert grants == [fig5_id, fig6_id] * 6
+            # fig5 has no points left to lease; fig6 carries on alone.
+            assert worker.lease_work()["job"] == fig6_id
+            for client in (first, second, worker):
                 client.close()
         finally:
             svc.stop()

@@ -463,7 +463,6 @@ class TestStatusSurface:
             cache={},
             metrics={"counters": {}},
             jobs={},
-            scheduler={},
             elapsed_seconds=1.0,
             points_per_second=0.0,
         )
