@@ -5,7 +5,8 @@ directly so the measurement is pure simulation — no result cache, no
 alone-run reuse, no trace generation inside the timed region.  The event
 engine benchmark is the **regression gate**: CI compares its mean
 against ``benchmarks/baseline.json`` (``--benchmark-compare``) and fails
-on a >25% regression.
+on a >25% regression, as it does for the dense, kernel and idle-regime
+benchmarks below.
 
 ``test_engine_speedup_on_idle_heavy_figures`` demonstrates the
 cycle-skipping engine's cold-run speedup on the idle-heavy figures the
@@ -52,6 +53,12 @@ DENSE_INSTRUCTIONS = 10_000
 #: precompiled-trace request lifecycle rather than by serve windows.
 KERNEL_INSTRUCTIONS = 30_000
 
+#: Per-core instruction count of the idle-regime gate: a 4-core LLLS mix
+#: (three low-intensity apps and the RNG benchmark), the regime of the
+#: paper's idle-period figures, where cores stream bubbles beside memory
+#: single steps (RNG buffer fills, sparse reads).
+IDLE_INSTRUCTIONS = 50_000
+
 
 def _hotpath_traces():
     mix = four_core_group_mixes(workloads_per_group=1)["LLHS"][0]
@@ -87,6 +94,21 @@ def _run_dense(traces, engine: str):
 def test_engine_hotpath_event(benchmark):
     """The regression-gated hot path: one simulation on the event engine."""
     traces = _hotpath_traces()
+    result = benchmark.pedantic(_run, args=(traces, ENGINE_EVENT), rounds=3, iterations=1)
+    assert result.total_cycles > 0
+
+
+def _idle_traces():
+    mix = four_core_group_mixes(workloads_per_group=1)["LLLS"][0]
+    mapping = AddressMapping(DRAMOrganization())
+    return build_traces(mix, IDLE_INSTRUCTIONS, seed=0, mapping=mapping)
+
+
+def test_engine_idle_streaming(benchmark):
+    """The idle regime on the event engine (gated): bubble-streaming
+    cores stay deferred through memory single steps, and a regression of
+    that deferral lands in the >25% mean gate."""
+    traces = _idle_traces()
     result = benchmark.pedantic(_run, args=(traces, ENGINE_EVENT), rounds=3, iterations=1)
     assert result.total_cycles > 0
 

@@ -103,6 +103,9 @@ class BaselineQueuePolicy:
             return controller.rng_queue, controller.rng_queue.oldest()
         return None
 
+    def note_regular_choice(self, now: int, deprioritized: Optional[str] = None) -> None:
+        """No state to book: the controller's inlined select calls this."""
+
     def reset(self) -> None:
         """No internal state."""
 
@@ -160,15 +163,24 @@ class ChannelController:
         )
 
         # Hot-path scalars hoisted out of the config dataclass, and the
-        # queue-policy type resolved once: the RNG-oblivious baseline
-        # policy reduces to the within-queue scheduler whenever the RNG
-        # queue is empty, so the per-serve policy dispatch can be
-        # bypassed (see _schedule_regular / serve_batch).
+        # queue policy resolved once.  Both built-in policies reduce to
+        # the within-queue scheduler over the read queue whenever no
+        # request waits in a separate RNG queue, so the per-serve policy
+        # dispatch can be bypassed (see _schedule_regular / serve_batch);
+        # the bypass books each choice through the policy's
+        # ``note_regular_choice`` (which the RNG-aware policy's own select
+        # calls too).  The RNG-aware policy is bypassed only with its RNG
+        # queue.  (Imported here: ``repro.core`` imports this module.)
+        from ..core.rng_scheduler import RNGAwareQueuePolicy
+
         self._issue_lookahead = cfg.issue_lookahead
         self._backend_latency = cfg.backend_latency
         self._write_drain_high = cfg.write_drain_high
         self._write_drain_low = cfg.write_drain_low
-        self._fast_policy = type(self.queue_policy) is BaselineQueuePolicy
+        policy_type = type(self.queue_policy)
+        self._fast_policy = policy_type is BaselineQueuePolicy or (
+            policy_type is RNGAwareQueuePolicy and self.rng_queue is not None
+        )
 
         self.mode = ExecutionMode.REGULAR
         self.stats = ControllerStats()
@@ -186,8 +198,11 @@ class ChannelController:
         # (inflight head, RNG segment end, bus release, blacklist clear,
         # fill-policy threshold crossing) is an absolute cycle frozen
         # while the controller is quiet, so it stays valid until the next
-        # tick or enqueue — or until the shared random number buffer
-        # (which the fill decision may consult) changes under us.
+        # tick or enqueue — or, for a bound from the idle fill decision
+        # (the only one that reads the shared random number buffer),
+        # until that buffer changes under us: ``_fill_buffer_version``
+        # holds the buffer version such a bound was computed at, and
+        # ``None`` for every other bound.
         self._bound_cache: Optional[int] = None
         self._bound_cache_valid = False
         self._fill_buffer = getattr(fill_policy, "buffer", None)
@@ -215,16 +230,6 @@ class ChannelController:
     def read_queue_occupancy(self) -> int:
         """Number of pending regular read requests."""
         return len(self.read_queue)
-
-    def is_idle(self, now: int) -> bool:
-        """Idle: no regular work queued/in flight and the data bus is free."""
-        return (
-            not self.read_queue
-            and not self.write_queue
-            and not self._inflight
-            and self.channel.is_bus_free(now)
-            and self.mode is ExecutionMode.REGULAR
-        )
 
     # ------------------------------------------------------------------ listeners
 
@@ -345,9 +350,7 @@ class ChannelController:
                     bound = event
             self._bound_cache = bound
             self._bound_cache_valid = True
-            buffer = self._fill_buffer
-            if buffer is not None:
-                self._fill_buffer_version = buffer.version
+            self._fill_buffer_version = None
 
     # ------------------------------------------------------------------ cycle skipping
 
@@ -363,8 +366,8 @@ class ChannelController:
         cover them.
         """
         if self._bound_cache_valid:
-            buffer = self._fill_buffer
-            if buffer is None or buffer.version == self._fill_buffer_version:
+            version = self._fill_buffer_version
+            if version is None or self._fill_buffer is None or self._fill_buffer.version == version:
                 return self._bound_cache
             self._bound_cache_valid = False
         # Recomputing must see current state: close any deferred quiet
@@ -376,12 +379,10 @@ class ChannelController:
         bound = self._compute_event_bound(now)
         if bound is None or bound > now:
             # Quiet bounds are cacheable: everything they derive from is
-            # frozen until the next tick or enqueue invalidates them.
+            # frozen until the next tick or enqueue invalidates them (or,
+            # for an idle fill decision, the shared buffer changes).
             self._bound_cache = bound
             self._bound_cache_valid = True
-            buffer = self._fill_buffer
-            if buffer is not None:
-                self._fill_buffer_version = buffer.version
         return bound
 
     def _prime_queued_bound(self, now: int) -> None:
@@ -408,11 +409,12 @@ class ChannelController:
                 bound = event
         self._bound_cache = bound
         self._bound_cache_valid = True
-        buffer = self._fill_buffer
-        if buffer is not None:
-            self._fill_buffer_version = buffer.version
+        self._fill_buffer_version = None
 
     def _compute_event_bound(self, now: int) -> Optional[int]:
+        # Only the idle fill decision reads the shared buffer; every other
+        # bound holds whatever the buffer does (``None`` = not keyed).
+        self._fill_buffer_version = None
         bound: Optional[int] = None
         if self._scheduler_event_probe is not None:
             scheduler_event = self._scheduler_event_probe(now)
@@ -435,23 +437,28 @@ class ChannelController:
                 bound = op.segment_end
             return bound
 
-        if self.read_queue or self.write_queue or (self.rng_queue is not None and self.rng_queue):
+        rng_queue = self.rng_queue
+        bus_free_at = self.channel.bus_free_at
+        if (
+            self.read_queue._entries
+            or self.write_queue._entries
+            or (rng_queue is not None and rng_queue._entries)
+        ):
             # Work is queued: the controller issues every cycle unless the
             # issue lookahead blocks it while the data bus drains.
-            resume = self.channel.bus_free_at - self.config.issue_lookahead
+            resume = bus_free_at - self._issue_lookahead
             if resume <= now:
                 return now
             if bound is None or resume < bound:
                 bound = resume
             return bound
 
-        if not self.channel.is_bus_free(now):
+        if now < bus_free_at:
             # No queued work, but the bus is still draining: busy cycles
             # until it frees, at which point the idle period (and the fill
             # policy) starts.
-            free = self.channel.earliest_free_cycle(now)
-            if bound is None or free < bound:
-                bound = free
+            if bound is None or bus_free_at < bound:
+                bound = bus_free_at
             return bound
 
         if self._inflight:
@@ -461,6 +468,9 @@ class ChannelController:
             return bound
 
         if self.fill_policy is not None:
+            buffer = self._fill_buffer
+            if buffer is not None:
+                self._fill_buffer_version = buffer.version
             fill_event = self.fill_policy.idle_event_cycle(self, now)
             if fill_event is not None:
                 if fill_event <= now:
@@ -556,13 +566,15 @@ class ChannelController:
         remove_at = read_queue.remove_at
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # The RNG-oblivious baseline policy reduces to the within-queue
+        # Both built-in queue policies reduce to the within-queue
         # scheduler when the RNG queue is empty (guaranteed in a serve
-        # window) — bypass the policy layer for it.  No request arrives
+        # window) — bypass the policy layer, keeping only the RNG-aware
+        # policy's bookkeeping of each choice.  No request arrives
         # during the window, so a read-only backlog stays read-only and
         # the write-drain hysteresis cannot engage: the branch holds for
         # the whole window and is hoisted out of the loop.
         fast = self._fast_policy and not write_entries and not self._write_draining
+        note_choice = self.queue_policy.note_regular_choice
 
         # Close any quiet segment deferred from before the window; the
         # cycles [now, first serve point) are accounted inline below.
@@ -602,6 +614,7 @@ class ChannelController:
             if fast:
                 index = select_index(read_queue, self, t)
                 if index >= 0:
+                    note_choice(t)
                     # Read issue inlined (the window preconditions
                     # guarantee the read queue holds only decoded
                     # non-RNG reads): body of _issue_regular's read
@@ -811,22 +824,21 @@ class ChannelController:
                 self._issue_regular(self.write_queue, request, now)
             return
 
-        if self._fast_policy:
-            # Baseline policy inlined: within-queue scheduler over the
-            # read queue, then the stray-RNG-queue drain it falls back to.
+        rng_queue = self.rng_queue
+        if self._fast_policy and (rng_queue is None or not rng_queue._entries):
+            # Queue policy inlined: with no request in a separate RNG
+            # queue it is the within-queue scheduler over the read queue
+            # (plus the RNG-aware policy's bookkeeping of the choice).
             read_queue = self.read_queue
             index = self.scheduler.select_index(read_queue, self, now)
             if index >= 0:
+                self.queue_policy.note_regular_choice(now)
                 request = read_queue._entries[index]
                 if request.type is RequestType.RNG:
                     self._start_demand_rng(read_queue, request, now)
                 else:
                     read_queue.remove_at(index)
                     self._issue_removed(request, now)
-                return
-            rng_queue = self.rng_queue
-            if rng_queue is not None and rng_queue._entries:
-                self._start_demand_rng(rng_queue, rng_queue._entries[0], now)
                 return
         else:
             selection = self.queue_policy.select(self, now)

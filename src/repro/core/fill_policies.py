@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
+from ..controller.memory_controller import ExecutionMode
 from .idleness_predictor import IdlenessPredictor
 from .rng_buffer import RandomNumberBuffer
 
@@ -117,12 +118,27 @@ class DRStrangeFillPolicy:
         return None
 
     def should_start_fill(self, controller: "ChannelController", now: int) -> bool:
-        if self.buffer.capacity_bits == 0 or self.buffer.is_full:
+        # Runs on every controller tick, so the buffer, predictor, idle
+        # and occupancy tests read plain attributes.  Idle: no regular
+        # work queued or in flight, the data bus free, Regular Execution
+        # Mode.
+        buffer = self.buffer
+        capacity = buffer.capacity_bits
+        if capacity == 0 or buffer._available_bits >= capacity:
             return False
 
-        predictor = self.predictor_for(controller)
+        channel = controller.channel
+        predictor = self.predictors.get(channel.channel_id)
+        read_entries = controller.read_queue._entries
+        bus_free = now >= channel.bus_free_at
 
-        if controller.is_idle(now):
+        if (
+            not read_entries
+            and not controller.write_queue._entries
+            and not controller._inflight
+            and bus_free
+            and controller.mode is ExecutionMode.REGULAR
+        ):
             if predictor is None:
                 # Simple buffering mechanism: use every idle cycle.
                 self.idle_fill_starts += 1
@@ -134,11 +150,12 @@ class DRStrangeFillPolicy:
 
         # Low-utilisation extension: a channel whose read queue holds fewer
         # than the threshold is also used, guided by the same predictor.
+        threshold = self.low_utilization_threshold
         if (
             predictor is not None
-            and self.low_utilization_threshold > 0
-            and 0 < controller.read_queue_occupancy() < self.low_utilization_threshold
-            and controller.channel.is_bus_free(now)
+            and threshold > 0
+            and 0 < len(read_entries) < threshold
+            and bus_free
         ):
             if predictor.predict(controller.last_accessed_address):
                 self.low_utilization_fill_starts += 1
@@ -154,11 +171,10 @@ class DRStrangeFillPolicy:
         # Generation stops as soon as a new regular request arrives at the
         # channel (Section 5.1); RNG demand requests waiting in the RNG
         # queue also terminate filling so they can be served.
-        if controller.read_queue or controller.write_queue:
+        if controller.read_queue._entries or controller.write_queue._entries:
             return False
-        if controller.rng_queue is not None and len(controller.rng_queue) > 0:
-            return False
-        return True
+        rng_queue = controller.rng_queue
+        return rng_queue is None or not rng_queue._entries
 
     # -- cycle-skipping support (see :mod:`repro.sim.engine`) ----------------------
 

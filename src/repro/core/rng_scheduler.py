@@ -209,9 +209,25 @@ class RNGAwareQueuePolicy:
         request = controller.scheduler.select(read_queue, controller, now)
         if request is None:
             return None
-        self.stats.regular_queue_choices += 1
-        self._note_service(served="regular", deprioritized=deprioritized, now=now_cycle)
+        self.note_regular_choice(now_cycle, deprioritized)
         return read_queue, request
+
+    def note_regular_choice(self, now: int, deprioritized: Optional[str] = None) -> None:
+        """Book one choice of the regular read queue at ``now``.
+
+        The bookkeeping of :meth:`_choose_regular`, which calls it.  With
+        an empty RNG queue :meth:`select` reduces to the within-queue
+        scheduler plus this call, so the controller's serve fast paths
+        select by index and call only this.  It is :meth:`_note_service`
+        for ``served="regular"``.
+        """
+        self.stats.regular_queue_choices += 1
+        current = self._deprioritized
+        if current == "regular":
+            current = self._deprioritized = None
+        if deprioritized != current:
+            self._deprioritized = deprioritized
+            self._deprioritized_since = now
 
     def _note_service(self, served: str, deprioritized: Optional[str], now: int) -> None:
         # Serving from the previously deprioritised queue resets the

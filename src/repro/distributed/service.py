@@ -1337,7 +1337,9 @@ class SweepService:
                     "reused": job.reused,
                     "elapsed": (job.finished_at or time.time()) - job.submitted_at,
                 },
-                cache=self._store.stats() if hasattr(self._store, "stats") else None,
+                # This job's points, not the daemon's store lookups (the
+                # same count ``status_payload()["cache"]`` sums).
+                cache={"hits": job.reused, "misses": job.executed},
                 metrics=self._metrics.snapshot(),
             )
         except OSError:

@@ -163,10 +163,14 @@ class Channel:
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
         end = max(now, self.bus_free_at) + duration
-        for index, bank in enumerate(self.banks):
+        # Every bank closes its row and stays busy until ``end``
+        # (Bank.complete_access inlined: this runs once per RNG batch).
+        for bank in self.banks:
             bank.open_row = None
-            self.open_rows[index] = None
-            bank.complete_access(end)
+            if end > bank.ready_at:
+                bank.ready_at = end
+        open_rows = self.open_rows
+        open_rows[:] = [None] * len(open_rows)
         self.bus_free_at = end
         self.stats.rng_cycles += duration
         self.stats.rng_operations += 1
@@ -186,16 +190,6 @@ class Channel:
     def is_bus_free(self, now: int) -> bool:
         """Whether the data bus is free at cycle ``now``."""
         return now >= self.bus_free_at
-
-    def earliest_free_cycle(self, now: int) -> int:
-        """Earliest cycle (not before ``now``) the data bus is free.
-
-        The bus is the channel's binding resource: bank preparation can
-        overlap, so :attr:`bus_free_at` (together with the per-bank
-        :meth:`~repro.dram.bank.Bank.earliest_ready_cycle`) is the
-        earliest-ready bound the cycle-skipping engine consumes.
-        """
-        return max(now, self.bus_free_at)
 
     def min_read_completion_distance(self, backend_latency: int) -> int:
         """Lower bound on cycles between issuing a read and its completion.

@@ -51,7 +51,9 @@ class EngineProfile:
     * ``dispatch_iterations`` / ``single_steps`` / ``mixed_step_cycles``
       / ``serve_batches`` / ``controller_ticks`` — how often each
       dispatch path ran (``controller_ticks`` counts real
-      :meth:`ChannelController.tick` calls, i.e. scheduler selects).
+      :meth:`ChannelController.tick` calls, i.e. scheduler selects),
+    * ``streaming_deferrals`` — cores a single step left deferred
+      (bubble streaming with no outstanding slot), one per core and step.
 
     Strictly observe-only: the profile never feeds a scheduling or
     skipping decision, and every hook is behind ``profile is not None``
@@ -67,6 +69,7 @@ class EngineProfile:
         "mixed_step_cycles",
         "serve_batches",
         "controller_ticks",
+        "streaming_deferrals",
         "serve_window_len",
         "skip_len",
         "window_break",
@@ -81,6 +84,7 @@ class EngineProfile:
         self.mixed_step_cycles = 0
         self.serve_batches = 0
         self.controller_ticks = 0
+        self.streaming_deferrals = 0
         self.serve_window_len: dict = {}
         self.skip_len: dict = {}
         self.window_break: dict = {}
@@ -112,6 +116,7 @@ class EngineProfile:
             "engine.profile.mixed_step_cycles": self.mixed_step_cycles,
             "engine.profile.serve_batches": self.serve_batches,
             "engine.profile.controller_ticks": self.controller_ticks,
+            "engine.profile.streaming_deferrals": self.streaming_deferrals,
         }
         for label, count in self.serve_window_len.items():
             out[f"engine.profile.serve_window_len.{label}"] = count
@@ -196,7 +201,12 @@ class EventEngine:
       the reference order (controllers, RNG subsystem, processor) and by
       deciding each core's activity *after* the memory side has ticked —
       a completion fired by a controller this cycle makes the waiting
-      core active this cycle, exactly as in the tick engine.
+      core active this cycle, exactly as in the tick engine.  A single
+      step touches only the cores it can change: a core streaming
+      bubbles with no outstanding slot cannot be reached by a completion,
+      buffer serve or RNG share, so it stays deferred through the step
+      (``streaming_deferrals`` in :class:`EngineProfile` counts these),
+      as it does through a full jump or a mixed stretch.
     * **Batched serving.**  Dense workloads defeat both mechanisms: with
       deep read queues the controllers issue nearly every cycle, so the
       engine degenerates into per-cycle dispatch.  But whenever *every*
@@ -277,8 +287,9 @@ class EventEngine:
         # the quiet stretch (``quiet_since[i]``) and the core's cached
         # absolute event bound (``core_bound_cache[i]``, ``-1`` invalid),
         # and materialises the whole stretch in one call right before the
-        # core must tick, before any memory step (completions may change
-        # its window), or at the end of the run.
+        # core must tick, before a memory step that could reach it (one
+        # with an outstanding slot, whose completion may change its
+        # window), or at the end of the run.
         quiet_since = [None] * len(cores)
         core_bound_cache = [-1] * len(cores)
         # ``stalled_count`` mirrors the number of non-None entries so the
@@ -340,6 +351,7 @@ class EventEngine:
             for index, controller in controller_range:
                 if controller._bound_cache_valid and (
                     buffer_version is None
+                    or controller._fill_buffer_version is None
                     or controller._fill_buffer is None
                     or controller._fill_buffer_version == buffer_version
                 ):
@@ -613,9 +625,15 @@ class EventEngine:
             # definition of quietness), then decide each core *after* the
             # memory side has ticked — a completion fired above wakes the
             # waiting core this very cycle, exactly as in the tick engine.
-            # Quiet cores' deferred stretches materialise first: the
-            # completions about to fire may change their windows, which
-            # would reclassify cycles that already went by.
+            # A quiet core with an outstanding slot materialises its
+            # deferred stretch first: a completion, buffer serve or RNG
+            # share about to fire may change its window, which would
+            # reclassify cycles that already went by.  A quiet core with
+            # no outstanding slot is pure bubble streaming that nothing on
+            # the memory side can reach, so, as through a full jump, it
+            # stays deferred with its cached bound — unless that bound is
+            # the next cycle, which must materialise now for the
+            # loop-top finish check.
             system.cycle = system.dram.now = cycle
             if profile is not None:
                 profile.single_steps += 1
@@ -626,6 +644,10 @@ class EventEngine:
             for index, core in core_range:
                 since = quiet_since[index]
                 if since is not None:
+                    if not core._undone_slots and core_bound_cache[index] > step:
+                        if profile is not None:
+                            profile.streaming_deferrals += 1
+                        continue
                     core.skip_cycles(since, cycle)
                     quiet_since[index] = None
                 core_bound_cache[index] = -1
@@ -650,6 +672,8 @@ class EventEngine:
                     core.catch_up_stall(since, cycle)
                     stalled_since[index] = None
                     stalled_count -= 1
+                elif quiet_since[index] is not None:
+                    continue  # streaming, left deferred above
                 bound = core.next_event_cycle(cycle)
                 if bound is None:
                     stalled_since[index] = cycle

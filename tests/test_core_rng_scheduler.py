@@ -177,3 +177,84 @@ class TestStarvationPrevention:
     def test_invalid_stall_limit(self):
         with pytest.raises(ValueError):
             RNGAwareQueuePolicy(ApplicationRegistry(), stall_limit=0)
+
+
+class TestServeFastPath:
+    """The controller's inlined select for the RNG-aware policy.
+
+    With an empty RNG queue, ``_schedule_regular`` and ``serve_batch``
+    select by index and book the choice through ``note_regular_choice``
+    instead of calling ``select``.  At every such serve of a DR-STRaNGe
+    and a Greedy Idle run, a deep copy of the controller takes the
+    generic path (``queue_policy.select`` + ``_issue_regular``) from the
+    same state; both must issue the same request and leave the same
+    policy state.  The deprioritised queue is forced through ``None``,
+    ``"rng"`` and ``"regular"`` before each serve, so every branch of the
+    bookkeeping is compared.
+    """
+
+    @pytest.mark.parametrize("design", ["dr-strange", "greedy-idle"])
+    def test_fast_path_matches_policy_select(self, design):
+        import copy
+        import sys
+
+        from repro.dram.address import AddressMapping
+        from repro.dram.timing import DRAMOrganization
+        from repro.sim.config import SimulationConfig
+        from repro.sim.system import System
+        from repro.workloads.mixes import build_traces, multi_core_group_mixes
+
+        mix = multi_core_group_mixes(8, workloads_per_group=1)["H"][0]
+        traces = build_traces(mix, 1_000, seed=4, mapping=AddressMapping(DRAMOrganization()))
+        system = System(traces, SimulationConfig(design=design))
+        keep = {id(core): core for core in system.processor.cores}
+        states = (None, "rng", "regular")
+        callers = {}
+        serves = [0]
+
+        def install(controller):
+            policy = controller.queue_policy
+            book = policy.note_regular_choice
+            channel = controller.channel
+            access = channel.service_access
+            expected = []  # the twin's issue cycle, checked by the real issue
+
+            def checked(now, deprioritized=None):
+                caller = sys._getframe(1).f_code.co_name
+                callers[caller] = callers.get(caller, 0) + 1
+                if caller == "_choose_regular":  # the generic path itself
+                    return book(now, deprioritized)
+                assert not controller.rng_queue._entries
+                policy._deprioritized = states[serves[0] % 3]
+                policy._deprioritized_since = now - 1 - serves[0] % 7
+                serves[0] += 1
+                read_queue = controller.read_queue
+                index = controller.scheduler.select_index(read_queue, controller, now)
+                twin = copy.deepcopy(controller, dict(keep))
+                del twin.queue_policy.note_regular_choice  # the class methods again
+                del twin.channel.service_access
+                queue, request = twin.queue_policy.select(twin, now)
+                twin._issue_regular(queue, request, now)
+                book(now, deprioritized)
+                twin_policy = twin.queue_policy
+                assert request.request_id == read_queue._entries[index].request_id
+                assert twin_policy.stats == policy.stats
+                assert twin_policy._deprioritized == policy._deprioritized
+                assert twin_policy._deprioritized_since == policy._deprioritized_since
+                expected.append(request.issue_cycle)
+
+            def checked_access(bank, row, now, is_write=False):
+                if expected:
+                    assert now == expected.pop()
+                return access(bank, row, now, is_write=is_write)
+
+            policy.note_regular_choice = checked
+            channel.service_access = checked_access
+
+        for controller in system.controllers:
+            assert controller._fast_policy
+            install(controller)
+        system.run()
+        assert serves[0] >= 3
+        assert callers.get("_schedule_regular", 0) > 0, callers
+        assert callers.get("serve_batch", 0) > 0, callers

@@ -286,3 +286,36 @@ class TestServeBatch:
         fresh._bound_cache_valid = False
         assert primed is not None
         assert fresh.next_event_cycle(window) == primed
+
+
+def test_event_bound_keys_on_the_buffer_only_for_idle_fill_decisions():
+    """Only the idle fill decision reads the shared random number buffer,
+    so only a bound from it is dropped when the buffer changes; a bound
+    in RNG mode (or with queued work) outlives buffer changes."""
+    from repro.core.fill_policies import DRStrangeFillPolicy
+    from repro.core.rng_buffer import RandomNumberBuffer
+
+    dram = DRAMSystem()
+    buffer = RandomNumberBuffer(entries=2, bits_per_entry=64)
+    controller = ChannelController(
+        channel=dram.channels[0],
+        dram=dram,
+        config=ControllerConfig(),
+        trng=DRaNGe(),
+        fill_policy=DRStrangeFillPolicy(buffer, low_utilization_threshold=0),
+        separate_rng_queue=True,
+    )
+
+    buffer.add_bits(buffer.capacity_bits)  # full: the idle controller never fills
+    assert controller.next_event_cycle(0) is None
+    assert controller._fill_buffer_version == buffer.version
+    assert buffer.take(64)
+    assert controller.next_event_cycle(1) == 1  # recomputed: a fill starts now
+
+    controller.tick(1)  # starts the fill
+    assert controller.mode is ExecutionMode.RNG
+    bound = controller.next_event_cycle(2)
+    assert bound > 2 and controller._fill_buffer_version is None
+    assert buffer.take(64)
+    assert controller._bound_cache_valid
+    assert controller.next_event_cycle(3) == bound

@@ -40,6 +40,7 @@ from repro.orchestration import (
 from repro.orchestration import sweep as sweep_module
 from repro.sim import checkpoint
 from repro.sim.system import System
+from repro.telemetry.manifest import list_manifests
 from tests.test_distributed import (
     FAST,
     FIG5,
@@ -681,3 +682,37 @@ class TestServiceStore:
             svc.stop()
             if worker is not None:
                 worker.join(timeout=5)
+
+    def test_job_manifest_counts_its_own_points(self, tmp_path, capsys):
+        """A job's manifest records that job's reused and simulated
+        points, not the daemon's lifetime store lookups, so ``repro
+        cache``'s last-run line describes the last job alone."""
+        from repro.__main__ import main
+
+        svc = SweepService(ResultCache(tmp_path), **FAST)
+        address = svc.start()
+        worker = None
+        try:
+            worker = start_worker_thread(address, "manifest-points")
+            with SweepClient(address) as client:
+                fig6 = client.wait(
+                    client.submit(SweepRequest(("fig6",), instructions=2_000)), timeout=120
+                )
+                fig5 = client.wait(
+                    client.submit(SweepRequest(("fig5",), instructions=2_000)), timeout=60
+                )
+            assert (fig6.points, fig6.executed, fig5.points, fig5.executed) == (25, 25, 6, 6)
+        finally:
+            svc.stop()
+            if worker is not None:
+                worker.join(timeout=5)
+        manifests = list_manifests(tmp_path)
+        assert [manifest["cache"] for manifest in manifests] == [
+            {"hits": 0, "misses": 25},
+            {"hits": 0, "misses": 6},
+        ]
+        capsys.readouterr()
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert "last run:    0 hits, 6 misses; 6 points planned, 6 executed" in (
+            capsys.readouterr().out
+        )
